@@ -140,3 +140,23 @@ def test_verify_paper_timings_flag(capsys):
     data = json.loads(out)
     assert "seconds" in data["claims"][0]
     assert "total_seconds" in data
+
+
+H0_PINS = [
+    # transition_matrix(3, 1) at j = 3
+    ('[["u^4","u^3"],["0","1"]]', 3,
+     [["0", "1"], ["-1", "u"], ["-u", "u^2"], ["-u^2", "u^3"]]),
+    ('[["u^4","u^2"],["0","1"]]', 2,
+     [["0", "1"], ["-1", "u^2"]]),
+    # [[1, 7], [0, 1]] * transition_matrix(3, 2): a non-unit constant left factor
+    ('[["u^5","u^3 + 7"],["0","1"]]', 5,
+     [["1", "0"], ["0", "1"], ["0", "u"], ["0", "u^2"], ["-u", "u^3"], ["-u^2", "u^4"],
+      ["-u^3", "u^5"]]),
+]
+
+
+@pytest.mark.parametrize("matrix,j,basis", H0_PINS)
+def test_h0_json_pinned(capsys, matrix, j, basis):
+    code, out, _ = run(capsys, "--json", "h0", "--matrix", matrix, "--j", str(j))
+    assert code == 0
+    assert json.loads(out) == {"j": j, "h0": len(basis), "basis": basis}

@@ -501,10 +501,18 @@ def splitting_by_h0_scan(M: TransitionMatrix2, scan_cap: int = 64) -> SplittingT
     determinant exponent; the whole profile over the jump window is then
     checked against the split model.
     """
+    dims: Dict[int, int] = {}
+
+    def h0(twist: int) -> int:
+        # the profile check revisits twists -a1-1 and -a1 of the first loop
+        if twist not in dims:
+            dims[twist] = h0_twist(M, twist)[0]
+        return dims[twist]
+
     e = M.det_exponent
     start = -(M.exponent_spread() + abs(e) + 2)
     j = start
-    while h0_twist(M, j)[0] == 0:
+    while h0(j) == 0:
         j += 1
         if j - start > scan_cap:
             raise RuntimeError("h0 scan found no sections within the window")
@@ -514,7 +522,7 @@ def splitting_by_h0_scan(M: TransitionMatrix2, scan_cap: int = 64) -> SplittingT
         raise RuntimeError("h0 scan produced an unsorted splitting; determinant mismatch")
     for jj in range(-a1 - 1, -a2 + 2):
         expected = max(0, a1 + jj + 1) + max(0, a2 + jj + 1)
-        got = h0_twist(M, jj)[0]
+        got = h0(jj)
         if got != expected:
             raise RuntimeError(
                 f"h0 profile disagrees with split model at twist {jj}: {got} != {expected}"

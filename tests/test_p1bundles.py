@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gawb import p1bundles
 from gawb.p1bundles import (
     GdElement,
     NonMonomialDeterminantError,
@@ -119,6 +120,20 @@ def test_grid_agreement():
             assert b == splitting_by_h0_scan(M)
             assert (b.a1, b.a2) == (-n, -m)
             assert b.hirzebruch_index == 2 * m - (m + n)
+
+
+def test_h0_scan_solves_each_twist_once(monkeypatch):
+    twists = []
+    original = p1bundles.h0_twist
+
+    def counting(M, j, *args, **kwargs):
+        twists.append(j)
+        return original(M, j, *args, **kwargs)
+
+    monkeypatch.setattr(p1bundles, "h0_twist", counting)
+    assert splitting_by_h0_scan(transition_matrix(3, 1)) == SplittingType(-1, -3)
+    assert len(twists) == 15
+    assert len(set(twists)) == 15
 
 
 def test_matrix_json_roundtrip():

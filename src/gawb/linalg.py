@@ -1,40 +1,99 @@
-"""Small exact linear algebra helpers: determinants and rational kernels."""
+"""Exact linear algebra: one sparse elimination kernel serving right kernels
+and determinants, and cofactor expansion for small polynomial matrices."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+from .poly import Coeff
+
+Row = Dict[int, Coeff]
 
 
-def bareiss_det(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination with row pivoting.
+def _reduce(rows: Sequence[Mapping[int, Coeff]]) -> Tuple[Dict[int, Row], List[int], Coeff]:
+    """Reduced row echelon form of sparse rows ``{column: entry}``.
 
-    Entries may be int or Fraction; the result is exact.
+    Rows are taken one at a time: each is cleared of the pivot columns found
+    so far, takes its least remaining column as pivot, is divided by that
+    entry and is then cleared from the earlier pivot rows.  Every pivot row
+    keeps its support at or right of its pivot, so the result is the unique
+    reduced echelon form whatever the row order.  Entries stay ``int`` until a
+    pivot other than +-1 forces a division.
+
+    Returns the pivot rows by pivot column (without their pivot entry, which
+    is 1), the pivot column of each row that did not reduce to zero, in input
+    order, and the product of the pivots divided out.
     """
+    pivots: Dict[int, Row] = {}
+    order: List[int] = []
+    scale: Coeff = 1
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        for c in [c for c in row if c in pivots]:
+            f = row.pop(c)
+            for k, x in pivots[c].items():
+                v = row.get(k, 0) - f * x
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+        if not row:
+            continue
+        p = min(row)
+        pv = row.pop(p)
+        if pv == -1:
+            row = {k: -x for k, x in row.items()}
+        elif pv != 1:
+            row = {k: Fraction(x, pv) for k, x in row.items()}
+        for prow in pivots.values():
+            f = prow.pop(p, 0)
+            if f:
+                for k, x in row.items():
+                    v = prow.get(k, 0) - f * x
+                    if v:
+                        prow[k] = v
+                    else:
+                        del prow[k]
+        pivots[p] = row
+        order.append(p)
+        scale *= pv
+    return pivots, order, scale
+
+
+def kernel_basis(matrix: Sequence[Mapping[int, Coeff]], ncols: int) -> List[List[Coeff]]:
+    """Basis of the right kernel of sparse rows ``{column: entry}`` in ncols unknowns.
+
+    The basis is canonical, one vector per free column f in increasing order:
+    1 at f, 0 at the other free columns, minus the reduced rows' entries in
+    column f at the pivot columns.
+    """
+    pivots, _, _ = _reduce(matrix)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec: List[Coeff] = [0] * ncols
+        vec[f] = 1
+        for p, row in pivots.items():
+            x = row.get(f)
+            if x:
+                vec[p] = -x
+        basis.append(vec)
+    return basis
+
+
+def det(matrix: Sequence[Sequence[Coeff]]) -> Coeff:
+    """Exact determinant of a square matrix with int or Fraction entries."""
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    _, order, scale = _reduce([dict(enumerate(row)) for row in matrix])
+    if len(order) < n:
+        return 0
+    # the reduced matrix is the permutation matrix of row i -> order[i]
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -scale if inversions % 2 else scale
 
 
 def cofactor_det(matrix: Sequence[Sequence]):
@@ -55,54 +114,3 @@ def cofactor_det(matrix: Sequence[Sequence]):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-def rref(matrix: Sequence[Sequence]) -> tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def kernel_basis(matrix: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
-    """Basis of the right kernel of the matrix (ncols unknowns)."""
-    if not matrix:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][f]
-        basis.append(vec)
-    return basis
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    _, pivots = rref(matrix)
-    return len(pivots)

@@ -452,46 +452,47 @@ def h0_twist(M: TransitionMatrix2, j: int, degree_cap: int = 24) -> Tuple[int, L
     """Dimension and basis of global sections of E tensor O(j).
 
     Sections are pairs g in C[u]^2 with M_j.g polynomial in u^-1.  The degree
-    bound for g is scanned upward until the dimension stabilizes; the Birkhoff
-    splitting provides an independent cross-check on callers' side.
+    bound B for g is scanned upward until the sections of degree <= B+1 all
+    have degree <= B.  One solve at B+1 shows both: its canonical basis lists
+    the degree-B sections first, as the vectors whose two top coefficients
+    vanish.  The Birkhoff splitting provides an independent cross-check on
+    callers' side.
     """
     Mj = M.twist(j).entries
     b0 = M.exponent_spread() + abs(j) + 2
-    prev = None
-    for bump in range(degree_cap + 1):
-        B = b0 + bump
-        dim, basis = _h0_fixed_degree(Mj, B)
-        if prev is not None and dim == prev[0]:
-            return prev
-        prev = (dim, basis)
+    for B in range(b0, b0 + degree_cap):
+        basis = _h0_fixed_degree(Mj, B + 1)
+        if all(not v[-2] and not v[-1] for v in basis):
+            sections = [(_u_coeffs_poly(v[:B + 1]), _u_coeffs_poly(v[B + 1:2 * B + 2])) for v in basis]
+            return len(sections), sections
     raise RuntimeError("h0 scan did not stabilize within the degree cap")
 
 
-def _h0_fixed_degree(Mj, B: int) -> Tuple[int, List[Tuple[Poly, Poly]]]:
-    ncols = 2 * (B + 1)
+def _h0_fixed_degree(Mj, D: int) -> List[List[Coeff]]:
+    """Canonical kernel basis of the conditions that M_j.g has no positive
+    power of u, for g of degree <= D.
+
+    Columns hold the coefficients of g1 below degree D, then those of g2,
+    then the degree-D coefficients of g1 and g2; one sparse integer row per
+    power of u.
+    """
+    cols = [[part * D + deg for deg in range(D)] + [2 * D + part] for part in range(2)]
     rows = []
     for r in range(2):
-        hi = max(_exp_range(Mj[r][0])[1], _exp_range(Mj[r][1])[1]) + B
-        for k in range(1, hi + 1):
-            row = [Fraction(0)] * ncols
-            touched = False
-            for part in range(2):
-                entry = Mj[r][part]
-                for m, c in entry.terms.items():
-                    e = dict(m).get(U, 0)
-                    deg = k - e
-                    if 0 <= deg <= B:
-                        row[part * (B + 1) + deg] += Fraction(c)
-                        touched = True
-            if touched:
-                rows.append(row)
-    basis_vecs = kernel_basis(rows, ncols)
-    sections = []
-    for vec in basis_vecs:
-        g1 = Poly({mono(u=d) if d else (): vec[d] for d in range(B + 1) if vec[d]})
-        g2 = Poly({mono(u=d) if d else (): vec[B + 1 + d] for d in range(B + 1) if vec[B + 1 + d]})
-        sections.append((g1, g2))
-    return len(basis_vecs), sections
+        eqs: Dict[int, Dict[int, Coeff]] = {}
+        for part in range(2):
+            for m, c in Mj[r][part].terms.items():
+                e = dict(m).get(U, 0)
+                for deg in range(max(0, 1 - e), D + 1):
+                    eq = eqs.setdefault(e + deg, {})
+                    col = cols[part][deg]
+                    eq[col] = eq.get(col, 0) + c
+        rows.extend(eqs[k] for k in sorted(eqs))
+    return kernel_basis(rows, 2 * D + 2)
+
+
+def _u_coeffs_poly(coeffs: Sequence[Coeff]) -> Poly:
+    return Poly({mono(u=d): c for d, c in enumerate(coeffs) if c})
 
 
 def splitting_by_h0_scan(M: TransitionMatrix2, scan_cap: int = 64) -> SplittingType:

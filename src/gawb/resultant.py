@@ -9,11 +9,10 @@ zero locus is larger than the origin.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
-from .linalg import bareiss_det
-from .poly import Poly
+from .linalg import det
+from .poly import Coeff, Poly
 
 
 class NonHomogeneousError(ValueError):
@@ -52,10 +51,6 @@ def sylvester_matrix(f: Poly, g: Poly, x: str = "x", y: str = "y") -> List[List]
         rows.append([0] * i + b + [0] * (size - i - n - 1))
     return rows
 
-def binary_resultant(f: Poly, g: Poly, x: str = "x", y: str = "y") -> Fraction:
+def binary_resultant(f: Poly, g: Poly, x: str = "x", y: str = "y") -> Coeff:
     """Nonzero iff V(f, g) = {0}, i.e. the forms share no projective zero."""
-    return bareiss_det(sylvester_matrix(f, g, x, y))
-
-
-def forms_meet_only_at_origin(f: Poly, g: Poly, x: str = "x", y: str = "y") -> bool:
-    return binary_resultant(f, g, x, y) != 0
+    return det(sylvester_matrix(f, g, x, y))

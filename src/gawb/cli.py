@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 on engine errors, 2 on usage errors.  The
 verify-paper subcommand exits 0 even when discrepancies are documented; they
 are findings, not failures.  Every flag has a GAWB_-prefixed environment
 variable override.
+
+--matrix, --presentation and --derivation take inline text or the name of a
+file holding it; a value that is both an existing file and valid inline text
+is rejected as ambiguous.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import __version__, cech, claims, p1bundles, surfaces
 from .derivations import (
@@ -29,6 +33,22 @@ from .quotient import AlgebraPresentation
 
 ENV_PREFIX = "GAWB_"
 
+T = TypeVar("T")
+
+
+class UsageError(Exception):
+    """Bad or ambiguous command-line input (exit 2)."""
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
 
 def _env_default(name: str, fallback, cast=int):
     raw = os.environ.get(ENV_PREFIX + name)
@@ -36,16 +56,24 @@ def _env_default(name: str, fallback, cast=int):
         return fallback
     try:
         return cast(raw)
-    except ValueError:
-        raise SystemExit(f"invalid {ENV_PREFIX}{name}={raw!r}")
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"invalid {ENV_PREFIX}{name}={raw!r}") from None
 
 
-def _read_source(value: str) -> str:
-    """Treat the argument as a file path when one exists, else as inline text."""
-    p = Path(value)
-    if p.is_file():
-        return p.read_text()
-    return value
+def _read_source(flag: str, value: str, parse: Callable[[str], T]) -> T:
+    """Parse the argument as inline text, or as the contents of the file it
+    names when it does not parse inline."""
+    path = Path(value)
+    if not path.is_file():
+        return parse(value)
+    try:
+        parse(value)
+    except (ValueError, KeyError, TypeError):
+        return parse(path.read_text())
+    raise UsageError(
+        f"{flag} {value!r} is ambiguous: it is valid inline text and also names the file "
+        f"{path.resolve()}; pass that absolute path to read the file"
+    )
 
 
 def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool):
@@ -57,11 +85,12 @@ def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool):
                     default=d(bool(_env_default("JSON", 0))), help="emit JSON output")
     ap.add_argument("--seed", type=int, default=d(_env_default("SEED", 0)))
     ap.add_argument("--jobs", type=int, default=d(_env_default("JOBS", 1)))
-    ap.add_argument("--groebner-budget", type=int,
-                    default=d(_env_default("GROEBNER_BUDGET", 20_000)))
-    ap.add_argument("--nilpotency-bound", type=int,
-                    default=d(_env_default("NILPOTENCY_BOUND", 64)))
-    ap.add_argument("--power-bound", type=int, default=d(_env_default("POWER_BOUND", 12)))
+    ap.add_argument("--groebner-budget", type=_positive_int,
+                    default=d(_env_default("GROEBNER_BUDGET", 20_000, _positive_int)))
+    ap.add_argument("--nilpotency-bound", type=_positive_int,
+                    default=d(_env_default("NILPOTENCY_BOUND", 64, _positive_int)))
+    ap.add_argument("--power-bound", type=_positive_int,
+                    default=d(_env_default("POWER_BOUND", 12, _positive_int)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,15 +255,12 @@ def _cmd_affine_cert(args) -> int:
     return 0
 
 
-def _load_presentation(args) -> AlgebraPresentation:
-    return AlgebraPresentation.from_text(
-        _read_source(args.presentation), groebner_budget=args.groebner_budget
-    )
-
-
 def _cmd_lnd(args) -> int:
-    pres = _load_presentation(args)
-    d = Derivation.from_text(pres, _read_source(args.derivation))
+    pres = _read_source(
+        "--presentation", args.presentation,
+        lambda text: AlgebraPresentation.from_text(text, groebner_budget=args.groebner_budget),
+    )
+    d = _read_source("--derivation", args.derivation, lambda text: Derivation.from_text(pres, text))
     if args.action == "check":
         ok = descends_to_quotient(d)
         payload: dict = {"descends": ok}
@@ -261,7 +287,7 @@ def _cmd_lnd(args) -> int:
 
 
 def _cmd_splitting(args) -> int:
-    M = p1bundles.TransitionMatrix2.loads(_read_source(args.matrix))
+    M = _read_source("--matrix", args.matrix, p1bundles.TransitionMatrix2.loads)
     fac = p1bundles.birkhoff_split(M)
     payload = fac.splitting.to_json()
     _emit(args, payload,
@@ -271,7 +297,7 @@ def _cmd_splitting(args) -> int:
 
 
 def _cmd_h0(args) -> int:
-    M = p1bundles.TransitionMatrix2.loads(_read_source(args.matrix))
+    M = _read_source("--matrix", args.matrix, p1bundles.TransitionMatrix2.loads)
     dim, basis = p1bundles.h0_twist(M, args.j)
     payload = {
         "j": args.j,
@@ -343,9 +369,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except UsageError as e:
+        print(f"gawb: error: {e}", file=sys.stderr)
+        return 2
     except PolyParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1

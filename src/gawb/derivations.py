@@ -52,14 +52,6 @@ class Derivation:
         for v, e in images.items():
             self.images[v] = ring.element(e) if not isinstance(e, RingElement) else ring.lift(e)
 
-    def extend_to(self, ring2: AlgebraPresentation) -> "Derivation":
-        """Zero-extend to an enlarged presentation (new variables are constants)."""
-        images = {v: ring2.lift(e) for v, e in self.images.items()}
-        for v in ring2.variables:
-            if v not in images:
-                images[v] = ring2.zero()
-        return Derivation(ring2, images)
-
     def apply_poly(self, p: Poly) -> RingElement:
         out = self.ring.zero()
         for v in p.variables():
@@ -127,9 +119,6 @@ def descends_to_quotient(d: Derivation) -> bool:
 class NilpotencyCertificate:
     indices: Dict[str, int]
     bound: int
-
-    def max_index(self) -> int:
-        return max(self.indices.values(), default=0)
 
 
 def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertificate:

@@ -203,10 +203,6 @@ class TransitionMatrix2:
         m, _ = self.det().single_term()
         return dict(m).get(U, 0)
 
-    @property
-    def det_coeff(self) -> Coeff:
-        return self.det().single_term()[1]
-
     def twist(self, j: int) -> "TransitionMatrix2":
         """Transition of E tensor O(j): scalar twist u^-j on the u-chart side."""
         return TransitionMatrix2(

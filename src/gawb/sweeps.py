@@ -14,10 +14,10 @@ from .poly import Poly, mono
 def iter_sweep_polys(m: int, n: int, lo: int = -2, hi: int = 2) -> Iterator[Poly]:
     """All nonzero p with deg_x p < m, deg_y p < n, p(0,0) = 0 and integer
     coefficients in [lo, hi]."""
-    cells = [(i, j) for i in range(m) for j in range(n) if (i, j) != (0, 0)]
+    cells = [mono(x=i, y=j) for i in range(m) for j in range(n) if (i, j) != (0, 0)]
     values = range(lo, hi + 1)
     for combo in itertools.product(values, repeat=len(cells)):
-        terms = {mono(x=i, y=j): c for (i, j), c in zip(cells, combo) if c}
+        terms = {cell: c for cell, c in zip(cells, combo) if c}
         if terms:
             yield Poly(terms)
 

@@ -160,3 +160,71 @@ def test_h0_json_pinned(capsys, matrix, j, basis):
     code, out, _ = run(capsys, "--json", "h0", "--matrix", matrix, "--j", str(j))
     assert code == 0
     assert json.loads(out) == {"j": j, "h0": len(basis), "basis": basis}
+
+
+PRES = "vars: x,y,u,v; relations: x^2*v - y^2*u - 1"
+DER = "der: u -> x^2; v -> y^2; x -> 0; y -> 0"
+
+
+@pytest.mark.parametrize("argv,inline", [
+    (["splitting", "--matrix", '[["u^4","u^2"],["0","1"]]'], '[["u^4","u^2"],["0","1"]]'),
+    (["h0", "--j", "2", "--matrix", '[["u^4","u^2"],["0","1"]]'], '[["u^4","u^2"],["0","1"]]'),
+    (["lnd", "check", "--presentation", PRES, "--derivation", DER], PRES),
+    (["lnd", "check", "--presentation", PRES, "--derivation", DER], DER),
+])
+def test_file_named_like_inline_text_is_ambiguous(capsys, tmp_path, monkeypatch, argv, inline):
+    # a file whose name is itself valid inline text must not be read silently
+    (tmp_path / inline).write_text('[["u^4","u^5"],["0","u"]]')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "ambiguous" in err and "inline text" in err and str(tmp_path / inline) in err
+
+
+def test_file_argument_that_is_not_inline_text_is_read(capsys, tmp_path, monkeypatch):
+    (tmp_path / "pres.txt").write_text(PRES)
+    (tmp_path / "der.txt").write_text(DER)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "--json", "lnd", "check", "--presentation", "pres.txt",
+                       "--derivation", "der.txt")
+    assert code == 0
+    assert json.loads(out)["descends"] is True
+
+
+@pytest.mark.parametrize("name,value", [
+    ("SEED", "abc"), ("JOBS", "1.5"), ("GROEBNER_BUDGET", "0"), ("NILPOTENCY_BOUND", "-5"),
+    ("POWER_BOUND", "x"),
+])
+def test_invalid_environment_override_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(f"GAWB_{name}", value)
+    code, out, err = run(capsys, "eval", "x")
+    assert code == 2
+    assert out == ""
+    assert f"GAWB_{name}" in err
+
+
+@pytest.mark.parametrize("flag", ["--groebner-budget", "--nilpotency-bound", "--power-bound"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_budget_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as e:
+        main(["lnd", "check", "--presentation", PRES, "--derivation", DER, flag, value])
+    assert e.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_groebner_budget_overrun(capsys):
+    code, out, err = run(capsys, "--groebner-budget", "1", "lnd", "check", "--presentation",
+                         "vars: x,y,u,v; relations: x^2*v - y^2*u - 1, x*u - y",
+                         "--derivation", DER)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: S-polynomial budget of 1 exceeded"]
+
+
+def test_nilpotency_bound_overrun(capsys):
+    code, out, err = run(capsys, "--nilpotency-bound", "1", "lnd", "check",
+                         "--presentation", PRES, "--derivation", DER)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: derivative tower of 'u' did not vanish within 1 iterations"]

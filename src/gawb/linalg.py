@@ -11,6 +11,16 @@ from .poly import Coeff
 Row = Dict[int, Coeff]
 
 
+def _subtract(row: Row, f: Coeff, other: Row) -> None:
+    """row -= f * other, dropping entries that become zero."""
+    for k, x in other.items():
+        v = row.get(k, 0) - f * x
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+
+
 def _reduce(rows: Sequence[Mapping[int, Coeff]]) -> Tuple[Dict[int, Row], List[int], Coeff]:
     """Reduced row echelon form of sparse rows ``{column: entry}``.
 
@@ -31,13 +41,7 @@ def _reduce(rows: Sequence[Mapping[int, Coeff]]) -> Tuple[Dict[int, Row], List[i
     for given in rows:
         row = {c: x for c, x in given.items() if x}
         for c in [c for c in row if c in pivots]:
-            f = row.pop(c)
-            for k, x in pivots[c].items():
-                v = row.get(k, 0) - f * x
-                if v:
-                    row[k] = v
-                else:
-                    del row[k]
+            _subtract(row, row.pop(c), pivots[c])
         if not row:
             continue
         p = min(row)
@@ -49,12 +53,7 @@ def _reduce(rows: Sequence[Mapping[int, Coeff]]) -> Tuple[Dict[int, Row], List[i
         for prow in pivots.values():
             f = prow.pop(p, 0)
             if f:
-                for k, x in row.items():
-                    v = prow.get(k, 0) - f * x
-                    if v:
-                        prow[k] = v
-                    else:
-                        del prow[k]
+                _subtract(prow, f, row)
         pivots[p] = row
         order.append(p)
         scale *= pv

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,17 @@ def test_jobs_do_not_change_results():
     seq = run_claims(RunConfig(seed=3, jobs=1), only=only)
     par = run_claims(RunConfig(seed=3, jobs=4), only=only)
     assert [r.to_json() for r in seq.records] == [r.to_json() for r in par.records]
+
+
+REPORT_SHA256 = "6b5c4c21a4e1e694c710f0a11ea2eb8b274b2054748692496f60023c96c2c93b"
+
+
+def test_report_digest_pinned(report):
+    """The whole seed-42 report, as ``verify-paper --json`` prints it, is pinned
+    by its sha256.  A change meant to alter a claim's outcome, text or
+    residual must update REPORT_SHA256 in the same commit."""
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
 def test_table_rendering(report):

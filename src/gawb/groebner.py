@@ -6,6 +6,11 @@ need localization must clear denominators first.  The basis returned by
 An optional cofactor mode tracks, for every basis element, an exact
 representation in terms of the input generators; this is what powers
 unit-ideal certificates.
+
+All division runs through one loop, ``_divide``, which records quotients
+only when its caller passes dicts for them: ``reduce_poly`` does, and so do
+``buchberger`` and the interreduction in cofactor mode; ``normal_form``
+never does.
 """
 
 from __future__ import annotations
@@ -38,69 +43,35 @@ def _check_regular(polys: Sequence[Poly]):
             raise ValueError("Groebner operations require nonnegative exponents; localize explicitly")
 
 
-def reduce_poly(
-    p: Poly, divisors: Sequence[Poly], order: TermOrder
-) -> Tuple[List[Poly], Poly]:
-    """Full multivariate division: p = sum(q_i * divisors_i) + r.
+def _divide(
+    p: Poly, divisors: Sequence[Poly], order: TermOrder, quotients: Optional[List[dict]] = None
+) -> Poly:
+    """The division loop: the remainder of p by divisors, in order.
 
-    No term of r is divisible by any divisor's leading monomial.  The
-    quotients make the identity exact, which is checked by callers that need
-    certificates.
+    The largest remaining term is popped; the first divisor whose leading
+    monomial divides it cancels it, otherwise it moves to the remainder.
+    When ``quotients`` (one dict per divisor) is given, the cancelling
+    multiples are recorded there.  Every later term is smaller than the
+    popped one, so a monomial is popped at most once and each quotient
+    monomial is written once.
     """
-    _check_regular([p])
-    _check_regular(divisors)
     key = order.key
     lead = []
-    for d in divisors:
-        if d.is_zero():
-            lead.append(None)
-        else:
-            lead.append(leading_term(d, order))
-    quotients = [Poly.zero() for _ in divisors]
+    for i, d in enumerate(divisors):
+        if d.terms:
+            lm, lc = leading_term(d, order)
+            lead.append((lm, lc, d, None if quotients is None else quotients[i]))
     remainder: dict = {}
     work = dict(p.terms)
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for i, lt in enumerate(lead):
-            if lt is None:
-                continue
-            lm, lc = lt
+        for lm, lc, d, q in lead:
             if mono_divides(lm, m):
                 qm = mono_div(m, lm)
                 qc = Fraction(c) / Fraction(lc)
-                quotients[i] = quotients[i] + Poly.monomial(qm, qc)
-                for tm, tc in divisors[i].terms.items():
-                    if tm == lm:
-                        continue
-                    mm = mono_mul(tm, qm)
-                    n = work.get(mm, 0) - qc * tc
-                    if n:
-                        work[mm] = n
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
-            remainder[m] = c
-    return quotients, Poly(remainder)
-
-
-def normal_form(p: Poly, basis: Sequence[Poly], order: TermOrder, check: bool = True) -> Poly:
-    """Remainder of division by the basis, without quotient bookkeeping."""
-    if check:
-        _check_regular([p])
-        _check_regular(basis)
-    key = order.key
-    lead = [leading_term(d, order) + (d,) for d in basis if not d.is_zero()]
-    remainder: dict = {}
-    work = dict(p.terms)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lc, d in lead:
-            if mono_divides(lm, m):
-                qm = mono_div(m, lm)
-                qc = Fraction(c) / Fraction(lc)
+                if q is not None:
+                    q[qm] = qc
                 for tm, tc in d.terms.items():
                     if tm == lm:
                         continue
@@ -116,13 +87,42 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: TermOrder, check: bool = 
     return Poly(remainder)
 
 
-def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    lmf, lcf = leading_term(f, order)
-    lmg, lcg = leading_term(g, order)
-    l = mono_lcm(lmf, lmg)
-    return f.mul_monomial(mono_div(l, lmf), Fraction(1) / Fraction(lcf)) - g.mul_monomial(
-        mono_div(l, lmg), Fraction(1) / Fraction(lcg)
-    )
+def reduce_poly(
+    p: Poly, divisors: Sequence[Poly], order: TermOrder
+) -> Tuple[List[Poly], Poly]:
+    """Full multivariate division: p = sum(q_i * divisors_i) + r.
+
+    No term of r is divisible by any divisor's leading monomial.  The
+    quotients make the identity exact, which is checked by callers that need
+    certificates.
+    """
+    _check_regular([p])
+    _check_regular(divisors)
+    quotients: List[dict] = [{} for _ in divisors]
+    r = _divide(p, divisors, order, quotients)
+    return [Poly(q) for q in quotients], r
+
+
+def normal_form(p: Poly, basis: Sequence[Poly], order: TermOrder, check: bool = True) -> Poly:
+    """Remainder of division by the basis, without quotient bookkeeping."""
+    if check:
+        _check_regular([p])
+        _check_regular(basis)
+    return _divide(p, basis, order)
+
+
+def _subtract_cofactors(
+    row: List[Poly], quotients: List[dict], rows: Sequence[List[Poly]]
+) -> List[Poly]:
+    """row - sum_i q_i * rows_i: the cofactor row of a division remainder."""
+    row = list(row)
+    for q, other in zip(quotients, rows):
+        if not q:
+            continue
+        q = Poly(q)
+        for j in range(len(row)):
+            row[j] = row[j] - q * other[j]
+    return row
 
 
 class GroebnerBasis:
@@ -154,135 +154,97 @@ def buchberger(
 ) -> GroebnerBasis:
     """Buchberger with normal pair selection and the coprimality criterion."""
     _check_regular(gens)
-    gens = [g for g in gens]
     ngens = len(gens)
-
     basis: List[Poly] = []
+    lead: List[Tuple[Mono, Fraction]] = []
     cof: List[List[Poly]] = []
 
-    def unit_cof(i: int) -> List[Poly]:
-        return [Poly.const(1) if j == i else Poly.zero() for j in range(ngens)]
-
-    def reduce_with_cof(p: Poly, pc: Optional[List[Poly]]):
-        qs, r = reduce_poly(p, basis, order)
+    def join(p: Poly, row: Optional[List[Poly]]) -> bool:
+        # divide p by the basis; a nonzero remainder joins it
+        quotients = [{} for _ in basis] if with_cofactors else None
+        r = _divide(p, basis, order, quotients)
+        if r.is_zero():
+            return False
+        basis.append(r)
+        lead.append(leading_term(r, order))
         if with_cofactors:
-            rc = list(pc)
-            for q, bc in zip(qs, cof):
-                if q.is_zero():
-                    continue
-                for j in range(ngens):
-                    rc[j] = rc[j] - q * bc[j]
-            return r, rc
-        return r, None
+            cof.append(_subtract_cofactors(row, quotients, cof))
+        return True
 
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        r, rc = reduce_with_cof(g, unit_cof(i) if with_cofactors else None)
-        if not r.is_zero():
-            basis.append(r)
-            if with_cofactors:
-                cof.append(rc)
+        row = None
+        if with_cofactors:
+            row = [Poly.const(1) if j == i else Poly.zero() for j in range(ngens)]
+        join(g, row)
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     spent = 0
     key = order.key
     while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (key(mono_lcm(leading_term(basis[ij[0]], order)[0],
-                                         leading_term(basis[ij[1]], order)[0])), ij),
-        )
+        i, j = min(pairs, key=lambda ij: (key(mono_lcm(lead[ij[0]][0], lead[ij[1]][0])), ij))
         pairs.discard((i, j))
-        lmi = leading_term(basis[i], order)[0]
-        lmj = leading_term(basis[j], order)[0]
-        if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
+        (lmi, lci), (lmj, lcj) = lead[i], lead[j]
+        l = mono_lcm(lmi, lmj)
+        if l == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-poly reduces to zero
         spent += 1
         if spent > budget:
             raise GroebnerBudgetExceeded(budget)
-        s = s_polynomial(basis[i], basis[j], order)
+        # S(f_i, f_j) = ui*f_i - uj*f_j; its cofactor row uses the same multipliers
+        ui, ci = mono_div(l, lmi), Fraction(1) / Fraction(lci)
+        uj, cj = mono_div(l, lmj), Fraction(1) / Fraction(lcj)
+        s = basis[i].mul_monomial(ui, ci) - basis[j].mul_monomial(uj, cj)
+        row = None
         if with_cofactors:
-            lmf, lcf = leading_term(basis[i], order)
-            lmg, lcg = leading_term(basis[j], order)
-            l = mono_lcm(lmf, lmg)
-            mf = Poly.monomial(mono_div(l, lmf), Fraction(1) / Fraction(lcf))
-            mg = Poly.monomial(mono_div(l, lmg), Fraction(1) / Fraction(lcg))
-            sc = [mf * a - mg * b for a, b in zip(cof[i], cof[j])]
-        else:
-            sc = None
-        r, rc = reduce_with_cof(s, sc)
-        if r.is_zero():
-            continue
-        new = len(basis)
-        basis.append(r)
-        if with_cofactors:
-            cof.append(rc)
-        for k in range(new):
-            pairs.add((k, new))
+            row = [a.mul_monomial(ui, ci) - b.mul_monomial(uj, cj) for a, b in zip(cof[i], cof[j])]
+        if join(s, row):
+            new = len(basis) - 1
+            pairs.update((k, new) for k in range(new))
 
-    return _interreduce(basis, cof if with_cofactors else None, order, gens)
+    return _interreduce(basis, lead, cof if with_cofactors else None, order, gens)
 
 
-def _interreduce(basis, cof, order, gens) -> GroebnerBasis:
-    # drop elements whose leading monomial is divisible by another's
-    items = list(range(len(basis)))
-    keep = []
-    lms = [leading_term(b, order)[0] if not b.is_zero() else None for b in basis]
-    for i in items:
-        if basis[i].is_zero():
-            continue
-        if any(
-            j != i and not basis[j].is_zero() and mono_divides(lms[j], lms[i])
-            and not (lms[j] == lms[i] and j > i)
-            for j in items
-        ):
-            continue
-        keep.append(i)
-
+def _interreduce(basis, lead, cof, order, gens) -> GroebnerBasis:
+    # drop elements whose leading monomial is divisible by another's; the
+    # first of several equal leading monomials stays
+    keep = [
+        i for i, (lm, _) in enumerate(lead)
+        if not any(
+            j != i and mono_divides(lead[j][0], lm) and not (lead[j][0] == lm and j > i)
+            for j in range(len(lead))
+        )
+    ]
     polys = [basis[i] for i in keep]
+    lead = [lead[i] for i in keep]
     cofs = None if cof is None else [cof[i] for i in keep]
 
-    # fully reduce each element against the others, then normalize to monic
+    # fully reduce each element against the others.  No kept leading
+    # monomial divides another, so every leading term survives its division
     changed = True
     while changed:
         changed = False
         for i in range(len(polys)):
             others = polys[:i] + polys[i + 1:]
-            qs, r = reduce_poly(polys[i], others, order)
+            quotients = None if cofs is None else [{} for _ in others]
+            r = _divide(polys[i], others, order, quotients)
             if r != polys[i]:
                 changed = True
                 if cofs is not None:
-                    rc = list(cofs[i])
-                    other_cofs = cofs[:i] + cofs[i + 1:]
-                    for q, bc in zip(qs, other_cofs):
-                        if q.is_zero():
-                            continue
-                        for j in range(len(rc)):
-                            rc[j] = rc[j] - q * bc[j]
-                    cofs[i] = rc
+                    cofs[i] = _subtract_cofactors(cofs[i], quotients, cofs[:i] + cofs[i + 1:])
                 polys[i] = r
-        nonzero = [i for i, p in enumerate(polys) if not p.is_zero()]
-        polys = [polys[i] for i in nonzero]
-        if cofs is not None:
-            cofs = [cofs[i] for i in nonzero]
 
-    for i in range(len(polys)):
-        _, lc = leading_term(polys[i], order)
+    # normalize to monic and sort by leading monomial
+    for i, (_, lc) in enumerate(lead):
         if lc != 1:
             inv = Fraction(1) / Fraction(lc)
             polys[i] = polys[i].scale(inv)
             if cofs is not None:
                 cofs[i] = [c.scale(inv) for c in cofs[i]]
 
-    idx = sorted(range(len(polys)), key=lambda i: order.key(leading_term(polys[i], order)[0]))
+    idx = sorted(range(len(polys)), key=lambda i: order.key(lead[i][0]))
     polys = [polys[i] for i in idx]
     if cofs is not None:
         cofs = [cofs[i] for i in idx]
     return GroebnerBasis(polys, order, cofs, gens)
-
-
-def ideal_member(p: Poly, basis: GroebnerBasis) -> Tuple[bool, Poly, List[Poly]]:
-    """Membership via normal form; returns (member, remainder, quotients)."""
-    qs, r = reduce_poly(p, basis.polys, basis.order)
-    return r.is_zero(), r, qs

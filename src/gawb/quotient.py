@@ -182,9 +182,6 @@ class AlgebraPresentation:
         e.denom = denom
         return e
 
-    def reduce_poly(self, p: Poly) -> Poly:
-        return self.basis.normal_form(p)
-
     def denominator_poly(self, denom: Tuple[int, ...]) -> Poly:
         out = Poly.const(1)
         for f, e in zip(self.inverted, denom):
@@ -311,7 +308,7 @@ class RingElement:
             return self.numer == other.numer
         p = self.numer * self.ring.denominator_poly(other.denom)
         q = other.numer * self.ring.denominator_poly(self.denom)
-        return self.ring.reduce_poly(p - q).is_zero()
+        return self.ring.basis.normal_form(p - q).is_zero()
 
     def simplified(self) -> "RingElement":
         """Cancel inverted factors that divide the representative exactly."""

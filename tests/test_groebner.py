@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from gawb.groebner import (
     GroebnerBudgetExceeded,
     buchberger,
-    ideal_member,
     leading_term,
     normal_form,
     reduce_poly,
@@ -38,26 +38,41 @@ def test_already_reduced_pair():
 
 def test_membership_basics():
     gb = buchberger([pp("x")], OX)
-    assert ideal_member(pp("x^2"), gb)[0]
+    assert gb.contains(pp("x^2"))
     gbxy = buchberger([pp("x"), pp("y")], OX)
-    assert not ideal_member(pp("1"), gbxy)[0]
+    assert not gbxy.contains(pp("1"))
     rel = pp("x^2*v - y^2*u - 1")
-    assert ideal_member(rel, buchberger([rel], OX))[0]
+    assert buchberger([rel], OX).contains(rel)
+
+
+def _division_inputs(count=60):
+    """The fixed case, then seeded divisor lists that each hold a zero divisor."""
+    yield pp("x^3*y + x*y^2 - 2*x + y"), [pp("x^2 + y"), pp("x*y - 1")]
+    rng = random.Random(2024)
+    for _ in range(count):
+        divisors = [seeded_poly(rng, ("x", "y"), 3, 3, nonzero=True) for _ in range(rng.randint(1, 3))]
+        divisors.insert(rng.randint(0, len(divisors)), Poly.zero())
+        yield seeded_poly(rng, ("x", "y"), 6, 5), divisors
 
 
 def test_division_certificate_exact():
-    divisors = [pp("x^2 + y"), pp("x*y - 1")]
-    p = pp("x^3*y + x*y^2 - 2*x + y")
-    qs, r = reduce_poly(p, divisors, OXY)
-    recombined = r
-    for q, d in zip(qs, divisors):
-        recombined = recombined + q * d
-    assert recombined == p
-    for m in r.terms:
-        assert not any(
-            leading_term(d, OXY)[0] and _divides(leading_term(d, OXY)[0], m)
-            for d in divisors
-        )
+    coeff_types = set()
+    for p, divisors in _division_inputs():
+        qs, r = reduce_poly(p, divisors, OXY)
+        recombined = r
+        for q, d in zip(qs, divisors):
+            recombined = recombined + q * d
+            if d.is_zero():
+                assert q.is_zero()
+            coeff_types.update(type(c) for c in d.terms.values())
+        assert recombined == p
+        leads = [leading_term(d, OXY)[0] for d in divisors if not d.is_zero()]
+        for m in r.terms:
+            assert not any(_divides(lm, m) for lm in leads)
+        assert normal_form(p, divisors, OXY) == r
+        gb = buchberger(divisors, OXY, budget=4000)
+        assert buchberger(divisors, OXY, budget=4000, with_cofactors=True).polys == gb.polys
+    assert coeff_types == {int, Fraction}
 
 
 def _divides(a, b):

@@ -11,7 +11,6 @@ explicitly requested.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +45,6 @@ DISCREPANCY = "discrepancy-documented"
 @dataclass
 class RunConfig:
     seed: int = 0
-    jobs: int = 1
     groebner_budget: int = 20_000
     nilpotency_bound: int = 64
     power_bound: int = 12
@@ -955,9 +953,5 @@ def run_claims(cfg: Optional[RunConfig] = None, only: Optional[Sequence[str]] = 
         )
 
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_one, chosen))
-    else:
-        records = [run_one(c) for c in chosen]
+    records = [run_one(c) for c in chosen]
     return Report(records=records, seed=cfg.seed, total_seconds=time.perf_counter() - t0)

@@ -84,7 +84,6 @@ def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool):
     ap.add_argument("--json", action="store_true",
                     default=d(bool(_env_default("JSON", 0))), help="emit JSON output")
     ap.add_argument("--seed", type=int, default=d(_env_default("SEED", 0)))
-    ap.add_argument("--jobs", type=int, default=d(_env_default("JOBS", 1)))
     ap.add_argument("--groebner-budget", type=_positive_int,
                     default=d(_env_default("GROEBNER_BUDGET", 20_000, _positive_int)))
     ap.add_argument("--nilpotency-bound", type=_positive_int,
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
         description="exact symbolic workbench: group actions on hypersurface "
         "threefolds, two-chart cocycles, bundle splitting, divisor arithmetic",
-        epilog="environment overrides: GAWB_SEED, GAWB_JOBS, GAWB_GROEBNER_BUDGET, "
+        epilog="environment overrides: GAWB_SEED, GAWB_GROEBNER_BUDGET, "
         "GAWB_NILPOTENCY_BOUND, GAWB_POWER_BOUND, GAWB_JSON=1",
     )
     ap.add_argument("--version", action="version", version=f"gawb {__version__}")
@@ -158,15 +157,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _ints(flag: str, text: str, count: int) -> List[int]:
+    """Exactly ``count`` comma-separated integers, or a usage error."""
+    try:
+        values = [int(s) for s in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise UsageError(f"{flag} needs {count} comma-separated integers, got {text!r}")
+    return values
+
+
 def _parse_surface(text: str) -> surfaces.RuledSurface:
     t = text.strip()
     if t.upper().startswith("F") and t[1:].isdigit():
-        return surfaces.hirzebruch(int(t[1:]))
-    if t.lower().startswith("scroll(") and t.endswith(")"):
-        inner = t[t.index("(") + 1:-1]
-        m, n = (int(s) for s in inner.split(","))
-        return surfaces.scroll(m, n)
-    raise SystemExit(f"unknown surface {text!r} (use F<k> or Scroll(m,n))")
+        make, params = surfaces.hirzebruch, [int(t[1:])]
+    elif t.lower().startswith("scroll(") and t.endswith(")"):
+        make, params = surfaces.scroll, _ints("--surface Scroll(m,n)", t[t.index("(") + 1:-1], 2)
+    else:
+        raise UsageError(f"unknown surface {text!r} (use F<k> or Scroll(m,n))")
+    try:
+        return make(*params)
+    except ValueError as e:
+        raise UsageError(f"--surface {text!r}: {e}") from None
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -278,8 +291,7 @@ def _cmd_lnd(args) -> int:
               "; ".join(f"{v} -> {img}" for v, img in images.items()))
         return 0
     if not args.element:
-        print("--element is required for the slice check", file=sys.stderr)
-        return 2
+        raise UsageError("--element is required for the slice check")
     s = pres.element(args.element)
     ok = is_slice(d, s)
     _emit(args, {"slice": ok}, f"is a slice: {ok}")
@@ -310,11 +322,8 @@ def _cmd_h0(args) -> int:
 
 def _cmd_intersect(args) -> int:
     surf = _parse_surface(args.surface)
-    c1 = [int(s) for s in args.d1.split(",")]
-    c2 = [int(s) for s in args.d2.split(",")]
-    if len(c1) != 2 or len(c2) != 2:
-        print("divisor coefficients must be two integers", file=sys.stderr)
-        return 2
+    c1 = _ints("--d1", args.d1, 2)
+    c2 = _ints("--d2", args.d2, 2)
     d1 = surf.divisor(*c1)
     d2 = surf.divisor(*c2)
     val = surfaces.intersect(d1, d2)
@@ -342,7 +351,6 @@ def _cmd_classify(args) -> int:
 def _cmd_verify_paper(args) -> int:
     cfg = claims.RunConfig(
         seed=args.seed,
-        jobs=args.jobs,
         groebner_budget=args.groebner_budget,
         nilpotency_bound=args.nilpotency_bound,
         power_bound=args.power_bound,

@@ -193,8 +193,7 @@ def test_file_argument_that_is_not_inline_text_is_read(capsys, tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("name,value", [
-    ("SEED", "abc"), ("JOBS", "1.5"), ("GROEBNER_BUDGET", "0"), ("NILPOTENCY_BOUND", "-5"),
-    ("POWER_BOUND", "x"),
+    ("SEED", "abc"), ("GROEBNER_BUDGET", "0"), ("NILPOTENCY_BOUND", "-5"), ("POWER_BOUND", "x"),
 ])
 def test_invalid_environment_override_is_usage_error(capsys, monkeypatch, name, value):
     monkeypatch.setenv(f"GAWB_{name}", value)
@@ -202,6 +201,21 @@ def test_invalid_environment_override_is_usage_error(capsys, monkeypatch, name, 
     assert code == 2
     assert out == ""
     assert f"GAWB_{name}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["intersect", "--surface", "G2", "--d1", "1,3", "--d2", "1,3"],
+    ["intersect", "--surface", "Scroll(3)", "--d1", "1,3", "--d2", "1,3"],
+    ["intersect", "--surface", "Scroll(1,2)", "--d1", "1,3", "--d2", "1,3"],
+    ["intersect", "--surface", "F2", "--d1", "a,3", "--d2", "1,3"],
+    ["intersect", "--surface", "F2", "--d1", "1,3", "--d2", "1,3,5"],
+    ["lnd", "slice", "--presentation", PRES, "--derivation", DER],
+])
+def test_bad_command_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gawb: error:")
 
 
 @pytest.mark.parametrize("flag", ["--groebner-budget", "--nilpotency-bound", "--power-bound"])

@@ -162,6 +162,47 @@ def test_h0_json_pinned(capsys, matrix, j, basis):
     assert json.loads(out) == {"j": j, "h0": len(basis), "basis": basis}
 
 
+def _case1(a, q0, witness, k):
+    return {"case": 1, "a": a, "q0": q0, "witness": witness, "witness_power": k}
+
+
+def _case2(b, new_n, new_p, fiber):
+    return {"case": 2, "b": b, "new_n": new_n, "new_p": new_p,
+            "substitution": f"v = y^{b}*{fiber}"}
+
+
+AFFINE_CERT_PINS = [
+    # Case 1 with a = 1, 2, 3 (a = 0 only follows a Case 2 step, see below)
+    (3, 3, "x + y", "x + y", "1", [_case1(1, "1", "(v*x^2 - 1)/y", 1)]),
+    (4, 2, "x^2 + 2*x^3", "2*x^3 + x^2", "2*x + 1",
+     [_case1(2, "2*x + 1", "(v*x^2 - 2*x - 1)/y", 2)]),
+    (5, 3, "x^3*y + x^3 - x^4", "-x^4 + x^3*y + x^3", "-x + 1",
+     [_case1(3, "-x + 1", "(v*x^2 + x - 1)/y", 3)]),
+    # Case 2 -> Case 1 chains, with a = 0, 1, 2
+    (3, 3, "x*y^2 + y^2", "x*y^2 + y^2", "x + 1",
+     [_case2(2, 1, "x + 1", "w"), _case1(0, "x + 1", "(w*x^3 - x - 1)/y", 0)]),
+    (2, 2, "x*y", "x*y", "1",
+     [_case2(1, 1, "x", "w"), _case1(1, "1", "(w*x - 1)/y", 1)]),
+    (5, 5, "x^2*y^3 + 2*x^4*y^4", "2*x^4*y^4 + x^2*y^3", "1",
+     [_case2(3, 2, "2*x^4*y + x^2", "w"), _case1(2, "1", "(w*x^3 - 1)/y", 2)]),
+    (4, 5, "-2*y^4 + x*y^4", "x*y^4 - 2*y^4", "x - 2",
+     [_case2(4, 1, "x - 2", "w"), _case1(0, "x - 2", "(w*x^4 - x + 2)/y", 0)]),
+    (5, 5, "x^4*y^4 - 2*x^3*y^2 + y^2", "x^4*y^4 - 2*x^3*y^2 + y^2", "-2*x^3 + 1",
+     [_case2(2, 3, "x^4*y^2 - 2*x^3 + 1", "w"), _case1(0, "-2*x^3 + 1", "(w*x^5 + 2*x^3 - 1)/y", 0)]),
+    # p(0, 0) != 0: the total space is already a hypersurface in A^4
+    (5, 4, "2 - x^4*y^3", "-x^4*y^3 + 2", None, []),
+]
+
+
+@pytest.mark.parametrize("m,n,p,rendered,q0,trace", AFFINE_CERT_PINS)
+def test_affine_cert_json_pinned(capsys, m, n, p, rendered, q0, trace):
+    code, out, _ = run(capsys, "--json", "affine-cert", str(m), str(n), p)
+    assert code == 0
+    outcome = "UnitCertificate" if trace else "HypersurfaceInA4"
+    assert json.loads(out) == {"m": m, "n": n, "p": rendered, "outcome": outcome, "q0": q0,
+                               "trace": trace}
+
+
 PRES = "vars: x,y,u,v; relations: x^2*v - y^2*u - 1"
 DER = "der: u -> x^2; v -> y^2; x -> 0; y -> 0"
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import catalog, groebner
+from . import catalog
 from .derivations import Derivation
 from .parse import parse_poly
-from .poly import Coeff, Poly, TermOrder, mono, mono_from_map
+from .poly import Coeff, Poly, mono, mono_degree, mono_from_map, mono_mul
 from .quotient import (
     AlgebraPresentation,
     RingElement,
@@ -201,21 +201,6 @@ class CertificateError(RuntimeError):
     pass
 
 
-_ORDER_CACHE: Dict[str, TermOrder] = {}
-
-
-def _fiber_order(fiber: str) -> TermOrder:
-    o = _ORDER_CACHE.get(fiber)
-    if o is None:
-        o = TermOrder("degrevlex", ("x", "y", "u", fiber))
-        _ORDER_CACHE[fiber] = o
-    return o
-
-
-_Y = Poly.variable("y")
-_X = Poly.variable("x")
-
-
 def _hypersurface_relation(m: int, n: int, p: Poly, fiber: str) -> Poly:
     terms = dict(p.terms)
     neg = {mo: -c for mo, c in terms.items()}
@@ -233,18 +218,25 @@ def _split_y(p: Poly) -> Tuple[int, Poly]:
 
 
 def _y_free_part(p: Poly) -> Poly:
-    return Poly({m: c for m, c in p.terms.items() if dict(m).get("y", 0) == 0})
+    terms = {}
+    for m, c in p.terms.items():
+        for v, _ in m:
+            if v == "y":
+                break
+        else:
+            terms[m] = c
+    return Poly(terms)
 
 
-def affineness_certificate(nf: NormalFormMNP, verify: bool = True) -> AffinenessCertificate:
+def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     """Run the Case 1 / Case 2 transform recursion for X(m, n, p).
 
     Case 2 strips the full power y^b from p (replacing the fiber coordinate v
     by w = v / y^b and n by n - b); Case 1 writes the y-free part of p as
     x^a q0 with q0(0) != 0 and terminates with the unit certificate, recording
-    the transform witness (x^(m-a) * fiber - q0) / y together with the least
-    power k such that witness * x^k lies in the coordinate ring (checked by
-    ideal membership against (y) + (relation)).
+    the transform witness (x^(m-a) * fiber - q0) / y together with its
+    witness power a, the least k such that witness * x^k lies in the
+    coordinate ring (certified by ``_check_case1_witness``).
     """
     m, n, p = nf.m, nf.n, nf.p
 
@@ -288,50 +280,40 @@ def affineness_certificate(nf: NormalFormMNP, verify: bool = True) -> Affineness
             raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
         relation = _hypersurface_relation(m, cur_n, cur_p, fiber)
         witness = Poly.monomial(mono_from_map({"x": m - a, fiber: 1})) - q0
-        power = _witness_power(witness, a, relation, fiber, verify)
+        _check_case1_witness(witness, a, m, relation, fiber)
         trace.append(
             Case1Step(
                 a=a, q0=q0, fiber_var=fiber, relation=relation,
-                witness_numer=witness, witness_power=power,
+                witness_numer=witness, witness_power=a,
             )
         )
-        cert = AffinenessCertificate(m, n, p, tuple(trace), "UnitCertificate", q0=q0)
-        if verify:
-            _check_case1_identity(witness, a, cur_n, cur_p, relation, fiber)
-        return cert
+        return AffinenessCertificate(m, n, p, tuple(trace), "UnitCertificate", q0=q0)
 
 
-def _witness_power(witness: Poly, a: int, relation: Poly, fiber: str, verify: bool) -> int:
-    """Least k with (witness / y) * x^k in A, i.e. witness * x^k in (y, relation).
+def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: str) -> None:
+    """Certify that a is the least k with witness * x^k in (y, relation).
 
-    Only the generator x^k of (x, y)^k needs an ideal-membership check; the
-    mixed generators x^i y^(k-i) land in A for syntactic reasons.
+    Let f be the y-free part of the relation.  Then (y, f) generates the same
+    ideal, and it is a Groebner basis for degrevlex on (x, y, u, fiber):
+    y and lm(f) have no common factor (Buchberger's first criterion).  Two
+    exact checks then settle the power without any division:
+
+    * identity: witness * x^a == f, so witness * x^a lies in the ideal (and
+      witness * x^a - relation is divisible by y);
+    * minimality: lm(f) = x^m * fiber, which holds because every other term
+      of f has total degree at most m.  Then no term of witness * x^(a-1)
+      is divisible by y or by lm(f), so it is its own nonzero normal form;
+      the same holds for every smaller power of x, so no k < a works.
     """
-    if not verify:
-        return a
-    order = _fiber_order(fiber)
-    # Reduced Groebner basis of (y, relation): y together with the relation's
-    # y-free part.  Their leading monomials y and x^m*fiber are coprime, so
-    # Buchberger's coprimality criterion certifies the pair as a basis.
-    f = Poly({m: c for m, c in relation.terms.items() if dict(m).get("y", 0) == 0})
-    basis = (_Y, f)
-    w = witness
-    for k in range(0, a + 1):
-        if groebner.normal_form(w, basis, order, check=False).is_zero():
-            return k
-        w = w * _X
-    raise CertificateError("witness membership scan failed up to k = a")
-
-
-def _check_case1_identity(witness, a, cur_n, cur_p, relation, fiber):
-    """witness * x^a - relation must be divisible by y, on the nose.
-
-    The quotient by y is the chart expression y^(n-1) u + sum_{i>=1} p_i
-    y^(i-1), so divisibility witnesses witness * x^a in (y, relation) with
-    explicit cofactors."""
-    diff = witness.mul_monomial(mono(x=a)) - relation
-    if any(dict(m).get("y", 0) < 1 for m in diff.terms):
+    shift = mono(x=a)
+    f = _y_free_part(relation).terms
+    if len(f) != len(witness.terms) or any(
+        f.get(mono_mul(mo, shift)) != c for mo, c in witness.terms.items()
+    ):
         raise CertificateError("Case 1 transform identity failed")
+    lead = mono_from_map({"x": m, fiber: 1})
+    if lead not in f or any(mono_degree(mo) > m for mo in f if mo != lead):
+        raise CertificateError("Case 1 relation does not lead with x^m * fiber")
 
 
 # -- cocycle attached to a locally trivial action ------------------------------

@@ -232,7 +232,11 @@ class Poly:
         """Smallest exponent of var over terms (0 if var absent from a term)."""
         best = None
         for m in self.terms:
-            e = dict(m).get(var, 0)
+            e = 0
+            for v, k in m:
+                if v == var:
+                    e = k
+                    break
             if best is None or e < best:
                 best = e
         return 0 if best is None else best

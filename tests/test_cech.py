@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from gawb.cech import (
     ActionCocycleError,
     Case1Step,
     Case2Step,
+    CertificateError,
     CocycleClass,
     NormalFormMNP,
     action_cocycle,
+    _check_case1_witness,
     affineness_certificate,
     bundle_from_cocycle,
     class_of,
@@ -18,7 +21,7 @@ from gawb.cech import (
     normal_form_mnp,
 )
 from gawb.derivations import descends_to_quotient
-from gawb.groebner import buchberger
+from gawb.groebner import buchberger, normal_form
 from gawb.parse import parse_poly as pp
 from gawb.poly import Poly, TermOrder, mono
 
@@ -120,6 +123,83 @@ def test_certificate_witness_membership_explicit():
         assert not gb.contains(w)
         w = w * Poly.variable("x")
     assert gb.contains(w)
+
+
+def _reference_witness_power(step: Case1Step):
+    """Least k <= a with witness * x^k in (y, relation), by Groebner normal forms.
+
+    The membership scan the certificate used before its exact check; the
+    basis comes from ``buchberger`` rather than from the coprimality argument.
+    """
+    order = TermOrder("degrevlex", ("x", "y", "u", step.fiber_var))
+    basis = buchberger([Poly.variable("y"), step.relation], order).polys
+    w = step.witness_numer
+    for k in range(step.a + 1):
+        if normal_form(w, basis, order).is_zero():
+            return k
+        w = w * Poly.variable("x")
+    return None
+
+
+def _witness_power_samples():
+    """Seeded p for every (m, n) block with m, n <= 5, coefficients in [-2, 2].
+
+    Per block: a few uniform draws, plus one p for each a in [0, m - 1] whose
+    y-free part (after stripping y^b, b >= 1, when a = 0) is x^a times a
+    polynomial with nonzero constant term.
+    """
+    rng = random.Random(8)
+    coeffs = [-2, -1, 1, 2]
+    for m in range(1, 6):
+        for n in range(1, 6):
+            if m * n == 1:
+                continue
+            cells = [(i, j) for i in range(m) for j in range(n) if (i, j) != (0, 0)]
+            for _ in range(8):
+                terms = {mono(x=i, y=j): rng.randint(-2, 2) for i, j in cells}
+                if any(terms.values()):
+                    yield m, n, Poly(terms)
+            for a in range(m):
+                if a:
+                    b = 0
+                elif n > 1:
+                    b = rng.randint(1, n - 1)
+                else:
+                    continue  # a = 0 needs a Case 2 step, so n >= 2
+                terms = {mono(x=a, y=b): rng.choice(coeffs)}
+                for i, j in cells:
+                    if (j > b or (j == b and i > a)) and rng.random() < 0.5:
+                        terms[mono(x=i, y=j)] = rng.randint(-2, 2)
+                yield m, n, Poly(terms)
+
+
+def test_witness_power_matches_reference_scan():
+    seen_a = {}
+    for m, n, p in _witness_power_samples():
+        cert = affineness_certificate(NormalFormMNP(m, n, p))
+        step = cert.trace[-1]
+        assert isinstance(step, Case1Step)
+        assert step.witness_power == step.a
+        assert _reference_witness_power(step) == step.witness_power, (m, n, p)
+        seen_a.setdefault(m, set()).add(step.a)
+    assert all(seen_a[m] == set(range(m)) for m in range(1, 6))
+
+
+def test_case1_witness_check_rejects_bad_certificates():
+    step = affineness_certificate(NormalFormMNP(3, 2, pp("x^2 + 2*x^2*y"))).trace[-1]
+    assert (step.a, step.witness_numer) == (2, pp("x*v - 1"))
+    _check_case1_witness(step.witness_numer, step.a, 3, step.relation, "v")
+    # witnesses that break witness * x^a == y-free part of the relation
+    for witness, a in [(pp("x*v - 2"), 2), (pp("x*v - 1 + y"), 2), (pp("x*v"), 2),
+                       (step.witness_numer, 1), (step.witness_numer, 3)]:
+        with pytest.raises(CertificateError, match="identity"):
+            _check_case1_witness(witness, a, 3, step.relation, "v")
+    # the identity holds, but x^4 (degree m + 2) leads the y-free part
+    relation = pp("x^2*v - y*u - x - x^4")
+    witness = pp("x*v - 1 - x^3")
+    assert witness * Poly.variable("x") == pp("x^2*v - x - x^4")
+    with pytest.raises(CertificateError, match="lead"):
+        _check_case1_witness(witness, 1, 2, relation, "v")
 
 
 def test_certificate_respects_step_bound():

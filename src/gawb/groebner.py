@@ -15,6 +15,7 @@ never does.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -137,7 +138,9 @@ class GroebnerBasis:
         self.generators = None if generators is None else tuple(generators)
 
     def normal_form(self, p: Poly) -> Poly:
-        return normal_form(p, self.polys, self.order)
+        # buchberger checked the basis when it was built; only p is new
+        _check_regular([p])
+        return normal_form(p, self.polys, self.order, check=False)
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -179,14 +182,22 @@ def buchberger(
             row = [Poly.const(1) if j == i else Poly.zero() for j in range(ngens)]
         join(g, row)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    spent = 0
+    # normal selection: the open pair with the smallest lcm of leading
+    # monomials, ties broken by (i, j); each pair's key is computed once
     key = order.key
+    pairs: List[tuple] = []
+
+    def add_pair(i: int, j: int):
+        l = mono_lcm(lead[i][0], lead[j][0])
+        heapq.heappush(pairs, (key(l), i, j, l))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            add_pair(i, j)
+    spent = 0
     while pairs:
-        i, j = min(pairs, key=lambda ij: (key(mono_lcm(lead[ij[0]][0], lead[ij[1]][0])), ij))
-        pairs.discard((i, j))
+        _, i, j, l = heapq.heappop(pairs)
         (lmi, lci), (lmj, lcj) = lead[i], lead[j]
-        l = mono_lcm(lmi, lmj)
         if l == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-poly reduces to zero
         spent += 1
@@ -201,7 +212,8 @@ def buchberger(
             row = [a.mul_monomial(ui, ci) - b.mul_monomial(uj, cj) for a, b in zip(cof[i], cof[j])]
         if join(s, row):
             new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            for k in range(new):
+                add_pair(k, new)
 
     return _interreduce(basis, lead, cof if with_cofactors else None, order, gens)
 

@@ -85,6 +85,13 @@ def test_rejects_laurent_input():
         buchberger([pp("x^-1")], OXY)
     with pytest.raises(ValueError):
         normal_form(pp("x^-1"), [pp("x")], OXY)
+    # a computed basis checks only the polynomial it is asked to reduce
+    gb = buchberger([pp("x"), pp("y^2")], OXY)
+    for p in (pp("x^-1"), pp("y^2 + x*y^-1")):
+        with pytest.raises(ValueError):
+            gb.normal_form(p)
+        with pytest.raises(ValueError):
+            gb.contains(p)
 
 
 def test_budget_error():

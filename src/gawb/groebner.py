@@ -10,16 +10,21 @@ unit-ideal certificates.
 All division runs through one loop, ``_divide``, which records quotients
 only when its caller passes dicts for them: ``reduce_poly`` does, and so do
 ``buchberger`` and the interreduction in cofactor mode; ``normal_form``
-never does.
+never does.  ``_divide`` takes leading terms from a heap of the working
+monomials (heap-based sparse division, after Monagan and Pearce); a heap
+entry whose term has cancelled since its push is stale and skipped when
+popped.  Coefficients stay ``int`` while every leading coefficient divided
+by is 1 or -1 (see ``poly.invert_coeff``).
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .poly import Mono, Poly, TermOrder, mono_div, mono_divides, mono_lcm, mono_mul
+from .poly import (
+    Coeff, Mono, Poly, TermOrder, invert_coeff, mono_div, mono_divides, mono_lcm, mono_mul,
+)
 
 DEFAULT_SPAIR_BUDGET = 20_000
 
@@ -30,7 +35,7 @@ class GroebnerBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def leading_term(p: Poly, order: TermOrder) -> Tuple[Mono, Fraction]:
+def leading_term(p: Poly, order: TermOrder) -> Tuple[Mono, Coeff]:
     if not p.terms:
         raise ValueError("zero polynomial has no leading term")
     key = order.key
@@ -55,33 +60,50 @@ def _divide(
     multiples are recorded there.  Every later term is smaller than the
     popped one, so a monomial is popped at most once and each quotient
     monomial is written once.
+
+    The working terms live in the dict ``work``; ``heap`` holds their
+    monomials under ``order.heap_key``, so the smallest heap entry is the
+    largest monomial.  A monomial is pushed whenever it enters ``work``.  A
+    term that cancels leaves its entry behind, and a popped entry whose
+    monomial is no longer in ``work`` is stale and skipped; a term that
+    cancels and comes back has two entries, the second of them stale.
     """
-    key = order.key
+    heap_key = order.heap_key
     lead = []
     for i, d in enumerate(divisors):
         if d.terms:
             lm, lc = leading_term(d, order)
-            lead.append((lm, lc, d, None if quotients is None else quotients[i]))
+            lead.append((lm, invert_coeff(lc), d, None if quotients is None else quotients[i]))
     remainder: dict = {}
     work = dict(p.terms)
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lc, d, q in lead:
+        m = pop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # stale: the term cancelled after its push
+        for lm, inv, d, q in lead:
             if mono_divides(lm, m):
                 qm = mono_div(m, lm)
-                qc = Fraction(c) / Fraction(lc)
+                qc = c * inv
                 if q is not None:
                     q[qm] = qc
                 for tm, tc in d.terms.items():
                     if tm == lm:
                         continue
                     mm = mono_mul(tm, qm)
-                    n = work.get(mm, 0) - qc * tc
-                    if n:
-                        work[mm] = n
-                    elif mm in work:
-                        del work[mm]
+                    n = work.get(mm)
+                    if n is None:
+                        work[mm] = -qc * tc
+                        push(heap, (heap_key(mm), mm))
+                    else:
+                        n -= qc * tc
+                        if n:
+                            work[mm] = n
+                        else:
+                            del work[mm]
                 break
         else:
             remainder[m] = c
@@ -159,7 +181,7 @@ def buchberger(
     _check_regular(gens)
     ngens = len(gens)
     basis: List[Poly] = []
-    lead: List[Tuple[Mono, Fraction]] = []
+    lead: List[Tuple[Mono, Coeff]] = []
     cof: List[List[Poly]] = []
 
     def join(p: Poly, row: Optional[List[Poly]]) -> bool:
@@ -204,8 +226,8 @@ def buchberger(
         if spent > budget:
             raise GroebnerBudgetExceeded(budget)
         # S(f_i, f_j) = ui*f_i - uj*f_j; its cofactor row uses the same multipliers
-        ui, ci = mono_div(l, lmi), Fraction(1) / Fraction(lci)
-        uj, cj = mono_div(l, lmj), Fraction(1) / Fraction(lcj)
+        ui, ci = mono_div(l, lmi), invert_coeff(lci)
+        uj, cj = mono_div(l, lmj), invert_coeff(lcj)
         s = basis[i].mul_monomial(ui, ci) - basis[j].mul_monomial(uj, cj)
         row = None
         if with_cofactors:
@@ -250,7 +272,7 @@ def _interreduce(basis, lead, cof, order, gens) -> GroebnerBasis:
     # normalize to monic and sort by leading monomial
     for i, (_, lc) in enumerate(lead):
         if lc != 1:
-            inv = Fraction(1) / Fraction(lc)
+            inv = invert_coeff(lc)
             polys[i] = polys[i].scale(inv)
             if cofs is not None:
                 cofs[i] = [c.scale(inv) for c in cofs[i]]

@@ -4,12 +4,16 @@ A monomial is a sorted tuple of ``(variable, exponent)`` pairs with nonzero
 integer exponents (negative exponents allowed).  A polynomial is a dict from
 monomials to nonzero coefficients; coefficients are ``int`` or
 ``fractions.Fraction`` and all arithmetic is exact.  The zero polynomial has
-an empty term dict.
+an empty term dict.  Coefficients stay ``int`` until a division by a
+non-unit needs a ``Fraction``: ``invert_coeff`` keeps 1 and -1 integral, and
+products are formed in ``int`` over a common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import neg
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -118,6 +122,14 @@ class TermOrder:
                 k = (sum(exps), tuple(-e for e in reversed(exps)))
             self._cache[m] = k
         return k
+
+    def heap_key(self, m: Mono):
+        """``key(m)`` negated entrywise: ``heapq``'s min-heap then pops the
+        largest monomial first.  Built on every call; only ``key`` caches."""
+        k = self._cache.get(m) or self.key(m)
+        if self.kind == "lex":
+            return tuple(map(neg, k))
+        return (-k[0], tuple(map(neg, k[1])))
 
     def sorted_monos(self, monos: Iterable[Mono], reverse: bool = True):
         return sorted(monos, key=self.key, reverse=reverse)
@@ -279,6 +291,13 @@ class Poly:
             return Poly.zero()
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # one monomial factor keeps distinct monomials distinct
+            ((m1, c1),) = a.items()
+            return Poly._raw({mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
+        # multiply in int over the common denominator, divide once at the end
+        da, a = _int_scaled(a)
+        db, b = _int_scaled(b)
         d: dict = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -288,6 +307,9 @@ class Poly:
                     d[m] = n
                 elif m in d:
                     del d[m]
+        den = da * db
+        if den != 1:
+            d = {m: _int_over(n, den) for m, n in d.items()}
         return Poly._raw(d)
 
     __rmul__ = __mul__
@@ -297,7 +319,7 @@ class Poly:
             raise TypeError("polynomial power must be an integer")
         if k < 0:
             m, c = self.single_term_or_laurent_error()
-            inv = Poly.monomial(mono_pow(m, -1), _invert_coeff(c))
+            inv = Poly.monomial(mono_pow(m, -1), invert_coeff(c))
             return inv ** (-k)
         result = Poly.const(1)
         base = self
@@ -417,7 +439,29 @@ def _coerce(x) -> Poly:
     raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 
 
-def _invert_coeff(c: Coeff) -> Coeff:
+def _int_scaled(terms: dict) -> tuple:
+    """(den, scaled): den is the lcm of the coefficients' denominators and
+    scaled holds den times each coefficient, as an int.  Int-only terms come
+    back as they are, with den 1."""
+    for c in terms.values():
+        if type(c) is not int:
+            break
+    else:
+        return 1, terms
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _int_over(n: int, den: int) -> Coeff:
+    """n / den exactly, as an int when den divides n."""
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
+
+
+def invert_coeff(c: Coeff) -> Coeff:
+    """1/c; an int when c is 1 or -1, a Fraction otherwise."""
+    if c == 1 or c == -1:
+        return int(c)
     return Fraction(1) / Fraction(c)
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from gawb.claims import CLAIMS, DISCREPANCY, FAIL, PASS, RunConfig, run_claims
+from gawb.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,15 @@ def test_report_digest_pinned(report):
     residual must update REPORT_SHA256 in the same commit."""
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_second_cli_pass_matches_report(report, capsys):
+    """A second seed-42 pass in the same process, through ``verify-paper
+    --json``, prints the fixture's report byte for byte: nothing the first
+    pass leaves behind changes an answer."""
+    code = main(["--json", "--seed", "42", "verify-paper"])
+    assert code == (0 if report.ok else 1)
+    assert capsys.readouterr().out == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 def test_table_rendering(report):

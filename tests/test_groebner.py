@@ -6,13 +6,14 @@ from hypothesis import given, settings
 
 from gawb.groebner import (
     GroebnerBudgetExceeded,
+    _divide,
     buchberger,
     leading_term,
     normal_form,
     reduce_poly,
 )
 from gawb.parse import parse_poly as pp
-from gawb.poly import Poly, TermOrder, mono
+from gawb.poly import Poly, TermOrder, mono, mono_div, mono_divides, mono_from_map, mono_mul
 
 from conftest import polys, seeded_poly
 
@@ -73,6 +74,108 @@ def test_division_certificate_exact():
         gb = buchberger(divisors, OXY, budget=4000)
         assert buchberger(divisors, OXY, budget=4000, with_cofactors=True).polys == gb.polys
     assert coeff_types == {int, Fraction}
+
+
+def _reference_divide(p, divisors, order, quotients=None, returns=None):
+    """The reference division loop: each leading term comes from a max()
+    scan over the working terms, and every quotient coefficient is a
+    Fraction.  ``returns`` (a one-element list) counts the terms that
+    cancel and later come back into the working terms."""
+    key = order.key
+    lead = []
+    for i, d in enumerate(divisors):
+        if d.terms:
+            lm, lc = leading_term(d, order)
+            lead.append((lm, lc, d, None if quotients is None else quotients[i]))
+    remainder = {}
+    work = dict(p.terms)
+    cancelled = set()
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lm, lc, d, q in lead:
+            if mono_divides(lm, m):
+                qm = mono_div(m, lm)
+                qc = Fraction(c) / Fraction(lc)
+                if q is not None:
+                    q[qm] = qc
+                for tm, tc in d.terms.items():
+                    if tm == lm:
+                        continue
+                    mm = mono_mul(tm, qm)
+                    n = work.get(mm, 0) - qc * tc
+                    if n:
+                        if returns is not None and mm not in work and mm in cancelled:
+                            returns[0] += 1
+                        work[mm] = n
+                    elif mm in work:
+                        del work[mm]
+                        cancelled.add(mm)
+                break
+        else:
+            remainder[m] = c
+    return Poly(remainder)
+
+
+def _small_poly(rng, variables, max_terms, max_deg, ints):
+    p = Poly.zero()
+    while p.is_zero():
+        for _ in range(rng.randint(1, max_terms)):
+            num, den = rng.choice((-3, -2, -1, 1, 2, 3)), 1 if ints else rng.choice((1, 1, 2, 3))
+            c = Fraction(num, den) if den > 1 else num
+            p = p + Poly.monomial(mono_from_map({v: rng.randint(0, max_deg) for v in variables}), c)
+    return p
+
+
+def _heap_division_inputs(count=240):
+    """(p, divisors, order): a hand-built case, then seeded ones.  Each seeded
+    p is a combination of its divisors plus a few terms, so that terms
+    cancel during the division, and some of them come back."""
+    # lex x > y: dividing x^2 by x + y cancels x*y, and dividing x*y^2 by
+    # y^2 - y brings it back
+    yield pp("x^2 + x*y^2 + x*y"), [pp("y^2 - y"), pp("x + y")], TermOrder("lex", ("x", "y"))
+    rng = random.Random(909)
+    for k in range(count):
+        variables = ("x", "y", "z")[: rng.randint(2, 3)]
+        order = TermOrder(("lex", "degrevlex")[k % 2], variables)
+        ints = k % 4 < 2
+        divisors = [_small_poly(rng, variables, 3, 2, ints) for _ in range(rng.randint(1, 3))]
+        p = _small_poly(rng, variables, 3, 3, ints)
+        for d in divisors:
+            p = p + _small_poly(rng, variables, 3, 2, ints) * d
+        if rng.random() < 0.5:
+            divisors.insert(rng.randint(0, len(divisors)), Poly.zero())
+        yield p, divisors, order
+
+
+def test_heap_division_matches_reference():
+    """The heap loop pops the monomials the max() scan pops: remainders and
+    quotients agree term for term and in insertion order, and coefficients
+    stay int while every leading coefficient divided by is 1 or -1."""
+    returns = [0]
+    seen = set()
+    for p, divisors, order in _heap_division_inputs():
+        ref_q = [{} for _ in divisors]
+        ref_r = _reference_divide(p, divisors, order, ref_q, returns)
+        heap_q = [{} for _ in divisors]
+        heap_r = _divide(p, divisors, order, heap_q)
+        assert list(heap_r.terms.items()) == list(ref_r.terms.items())
+        assert [list(q.items()) for q in heap_q] == [list(q.items()) for q in ref_q]
+        assert list(_divide(p, divisors, order).terms.items()) == list(ref_r.terms.items())
+        lcs = [leading_term(d, order)[1] for d in divisors if not d.is_zero()]
+        units = all(lc in (1, -1) for lc in lcs)
+        ints = all(type(c) is int for d in divisors for c in d.terms.values())
+        ints = ints and all(type(c) is int for c in p.terms.values())
+        if units and ints:
+            out = list(heap_r.terms.values()) + [c for q in heap_q for c in q.values()]
+            assert all(type(c) is int for c in out)
+        seen.add(order.kind)
+        seen.add("int" if ints else "fraction")
+        seen.add("unit leads" if units else "other leads")
+        if any(d.is_zero() for d in divisors):
+            seen.add("zero divisor")
+    assert returns[0] > 0
+    assert seen == {"lex", "degrevlex", "int", "fraction", "unit leads", "other leads", "zero divisor"}
 
 
 def _divides(a, b):
@@ -143,6 +246,22 @@ def test_cyclic3_reduced_basis():
     o = TermOrder("degrevlex", ("x", "y", "z"))
     gb = buchberger([pp("x+y+z"), pp("x*y+y*z+z*x"), pp("x*y*z-1")], o)
     assert list(gb.polys) == [pp("x+y+z"), pp("y^2+y*z+z^2"), pp("z^3-1")]
+
+
+def test_unit_leads_keep_int_coefficients():
+    """S-polynomials and the monic scaling divide by leading coefficients 1
+    and -1 without leaving int; a non-unit lead still gives a Fraction."""
+    o3 = TermOrder("degrevlex", ("x", "y", "z"))
+    systems = [
+        ([pp("x+y+z"), pp("x*y+y*z+z*x"), pp("x*y*z-1")], o3),
+        ([pp("-x^2+y"), pp("x*y - 1")], TermOrder("lex", ("x", "y"))),
+    ]
+    for gens, order in systems:
+        gb = buchberger(gens, order, with_cofactors=True)
+        coeffs = [c for p in gb.polys for c in p.terms.values()]
+        coeffs += [c for row in gb.cofactors for p in row for c in p.terms.values()]
+        assert {type(c) for c in coeffs} == {int}
+    assert list(buchberger([pp("2*x - 1")], OXY).polys[0].terms.values()) == [1, Fraction(-1, 2)]
 
 
 def test_zero_generators_dropped():

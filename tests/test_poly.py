@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,12 @@ from gawb.poly import (
     Poly,
     TermOrder,
     mono,
+    mono_mul,
     render_poly,
 )
 from gawb.parse import parse_poly
 
-from conftest import polys
+from conftest import polys, seeded_poly
 
 
 def test_product_difference_of_squares():
@@ -119,3 +121,97 @@ def test_substitution_is_ring_homomorphism(a, b):
     target = {"x": parse_poly("y + 1"), "y": parse_poly("x*y")}
     assert (a * b).substitute(target) == a.substitute(target) * b.substitute(target)
     assert (a + b).substitute(target) == a.substitute(target) + b.substitute(target)
+
+
+def _fraction_product(a, b, cancellations):
+    """The product with every coefficient made a Fraction, visiting the term
+    pairs in the order Poly.__mul__ does (the shorter operand outside).
+    ``cancellations`` (a one-element list) counts terms that cancel."""
+    a, b = a.terms, b.terms
+    if len(a) > len(b):
+        a, b = b, a
+    d = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            n = d.get(m, 0) + Fraction(c1) * Fraction(c2)
+            if n:
+                d[m] = n
+            elif m in d:
+                del d[m]
+                cancellations[0] += 1
+    return d
+
+
+def _as_ints(p):
+    """p with each coefficient replaced by its numerator, an int."""
+    return Poly({m: c.numerator for m, c in p.terms.items()})
+
+
+def _product_cases(count=300):
+    """Seeded operand pairs: Laurent or regular, int-only or mixed, some
+    single-term, and some of the form (a, a with some terms negated), whose
+    cross terms cancel."""
+    rng = random.Random(4242)
+    for k in range(count):
+        laurent = k % 3 == 0
+        a = seeded_poly(rng, ("x", "y", "z"), 5, 2, laurent=laurent)
+        if k % 5 == 0:
+            b = Poly({m: -c if rng.random() < 0.5 else c for m, c in a.terms.items()})
+        elif k % 5 == 1:
+            b = seeded_poly(rng, ("x", "y", "z"), 1, 3, laurent=laurent)
+        else:
+            b = seeded_poly(rng, ("x", "y", "z"), 6, 2, laurent=laurent)
+        if k % 4 == 0:
+            a = _as_ints(a)
+        if k % 8 == 0:
+            b = _as_ints(b)
+        yield a, b
+
+
+def test_mul_matches_fraction_product():
+    """Poly.__mul__ (int arithmetic over a common denominator, and the
+    single-term path) gives the plain Fraction product term for term, in the
+    same insertion order, with no zero terms and int-only products in int."""
+    cancellations = [0]
+    seen = set()
+    for a, b in _product_cases():
+        expected = _fraction_product(a, b, cancellations)
+        got = a * b
+        assert list(got.terms.items()) == list(expected.items())
+        assert all(got.terms.values())
+        assert (b * a).terms == expected
+        if all(type(c) is int for p in (a, b) for c in p.terms.values()):
+            assert all(type(c) is int for c in got.terms.values())
+            seen.add("int only")
+        else:
+            seen.add("mixed")
+        if not (a.is_regular() and b.is_regular()):
+            seen.add("laurent")
+        if min(len(a.terms), len(b.terms)) == 1:
+            seen.add("single term")
+    assert cancellations[0] > 0
+    assert seen == {"int only", "mixed", "laurent", "single term"}
+
+
+def test_int_and_fraction_forms_agree():
+    """An int coefficient and the equal Fraction are interchangeable: the
+    two forms of one polynomial compare equal, hash their terms alike,
+    render alike and give equal products."""
+    rng = random.Random(77)
+    for _ in range(100):
+        p = _as_ints(seeded_poly(rng, ("x", "y"), 5, 3, laurent=True))
+        f = Poly({m: Fraction(c) for m, c in p.terms.items()})
+        q = seeded_poly(rng, ("x", "y"), 4, 3)
+        assert p == f and f == p
+        assert [hash(t) for t in p.terms.items()] == [hash(t) for t in f.terms.items()]
+        assert render_poly(p) == render_poly(f)
+        assert p * q == f * q and render_poly(p * q) == render_poly(f * q)
+
+
+def test_heap_key_pops_largest_first():
+    rng = random.Random(3)
+    for kind in ("lex", "degrevlex"):
+        order = TermOrder(kind, ("x", "y", "z"))
+        monos = {mono(x=rng.randint(0, 4), y=rng.randint(0, 4), z=rng.randint(0, 4)) for _ in range(60)}
+        assert sorted(monos, key=order.heap_key) == order.sorted_monos(monos)

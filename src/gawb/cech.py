@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import catalog
 from .derivations import Derivation
 from .parse import parse_poly
-from .poly import Coeff, Poly, mono, mono_degree, mono_from_map, mono_mul
+from .poly import Coeff, Poly, invert_coeff, mono, mono_degree, mono_from_map, mono_mul
 from .quotient import (
     AlgebraPresentation,
     RingElement,
@@ -124,12 +124,25 @@ class NormalFormMNP:
             raise ValueError("m, n must be >= 1")
         if self.p.is_zero():
             raise ValueError("p must be nonzero")
-        if not self.p.is_regular():
-            raise ValueError("p must be a regular polynomial")
-        extra = self.p.variables() - {"x", "y"}
+        # one pass over the terms; a negative exponent outranks the checks
+        # after the pass (other variables, then the degree bounds)
+        extra = set()
+        deg_x = deg_y = 0
+        for mo in self.p.terms:
+            for v, e in mo:
+                if e < 0:
+                    raise ValueError("p must be a regular polynomial")
+                if v == "x":
+                    if e > deg_x:
+                        deg_x = e
+                elif v == "y":
+                    if e > deg_y:
+                        deg_y = e
+                else:
+                    extra.add(v)
         if extra:
             raise ValueError(f"p mentions {sorted(extra)}")
-        if self.p.degree_in("x") >= self.m or self.p.degree_in("y") >= self.n:
+        if deg_x >= self.m or deg_y >= self.n:
             raise ValueError("normal form requires deg_x p < m and deg_y p < n")
 
     def cocycle(self) -> Poly:
@@ -358,7 +371,7 @@ def laurent_from_element(e: RingElement, chart_vars: Sequence[str]) -> Optional[
         for v, exp in mo:
             shift[v] = shift.get(v, 0) - a * exp
         if c != 1:
-            scale = scale * (Fraction(1) / Fraction(c)) ** a
+            scale = scale * invert_coeff(c) ** a
     out = e.numer.mul_monomial(tuple(sorted((v, s) for v, s in shift.items() if s)), scale)
     return out
 

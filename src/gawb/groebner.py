@@ -14,7 +14,10 @@ never does.  ``_divide`` takes leading terms from a heap of the working
 monomials (heap-based sparse division, after Monagan and Pearce); a heap
 entry whose term has cancelled since its push is stale and skipped when
 popped.  Coefficients stay ``int`` while every leading coefficient divided
-by is 1 or -1 (see ``poly.invert_coeff``).
+by is 1 or -1 (see ``poly.invert_coeff``).  A divisor's leading monomial
+and inverse leading coefficient (``_leads``) are found once where the
+divisors are fixed: ``GroebnerBasis`` holds them for its elements, and
+``buchberger`` keeps them as its basis grows.
 """
 
 from __future__ import annotations
@@ -49,8 +52,25 @@ def _check_regular(polys: Sequence[Poly]):
             raise ValueError("Groebner operations require nonnegative exponents; localize explicitly")
 
 
+def _leads(divisors: Sequence[Poly], order: TermOrder) -> list:
+    """``(leading monomial, 1/leading coefficient)`` of each divisor, and
+    None for a zero divisor: what ``_divide`` divides by."""
+    out = []
+    for d in divisors:
+        if d.terms:
+            lm, lc = leading_term(d, order)
+            out.append((lm, invert_coeff(lc)))
+        else:
+            out.append(None)
+    return out
+
+
 def _divide(
-    p: Poly, divisors: Sequence[Poly], order: TermOrder, quotients: Optional[List[dict]] = None
+    p: Poly,
+    divisors: Sequence[Poly],
+    order: TermOrder,
+    quotients: Optional[List[dict]] = None,
+    leads: Optional[Sequence] = None,
 ) -> Poly:
     """The division loop: the remainder of p by divisors, in order.
 
@@ -59,7 +79,8 @@ def _divide(
     When ``quotients`` (one dict per divisor) is given, the cancelling
     multiples are recorded there.  Every later term is smaller than the
     popped one, so a monomial is popped at most once and each quotient
-    monomial is written once.
+    monomial is written once.  ``leads`` is ``_leads(divisors, order)``,
+    computed here when the caller does not hold it.
 
     The working terms live in the dict ``work``; ``heap`` holds their
     monomials under ``order.heap_key``, so the smallest heap entry is the
@@ -69,11 +90,12 @@ def _divide(
     cancels and comes back has two entries, the second of them stale.
     """
     heap_key = order.heap_key
-    lead = []
-    for i, d in enumerate(divisors):
-        if d.terms:
-            lm, lc = leading_term(d, order)
-            lead.append((lm, invert_coeff(lc), d, None if quotients is None else quotients[i]))
+    if leads is None:
+        leads = _leads(divisors, order)
+    lead = [
+        (li[0], li[1], d, None if quotients is None else quotients[i])
+        for i, (d, li) in enumerate(zip(divisors, leads)) if li is not None
+    ]
     remainder: dict = {}
     work = dict(p.terms)
     heap = [(heap_key(m), m) for m in work]
@@ -126,12 +148,15 @@ def reduce_poly(
     return [Poly(q) for q in quotients], r
 
 
-def normal_form(p: Poly, basis: Sequence[Poly], order: TermOrder, check: bool = True) -> Poly:
-    """Remainder of division by the basis, without quotient bookkeeping."""
+def normal_form(
+    p: Poly, basis: Sequence[Poly], order: TermOrder, check: bool = True, leads: Optional[Sequence] = None
+) -> Poly:
+    """Remainder of division by the basis, without quotient bookkeeping.
+    ``leads`` is ``_leads(basis, order)`` when the caller holds it."""
     if check:
         _check_regular([p])
         _check_regular(basis)
-    return _divide(p, basis, order)
+    return _divide(p, basis, order, leads=leads)
 
 
 def _subtract_cofactors(
@@ -149,20 +174,22 @@ def _subtract_cofactors(
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis plus (optionally) cofactors over the inputs."""
+    """Reduced Groebner basis plus (optionally) cofactors over the inputs.
+    The basis never changes, so its leading terms are found once, here."""
 
-    __slots__ = ("polys", "order", "cofactors", "generators")
+    __slots__ = ("polys", "order", "cofactors", "generators", "leads")
 
     def __init__(self, polys, order, cofactors=None, generators=None):
         self.polys = tuple(polys)
         self.order = order
         self.cofactors = cofactors
         self.generators = None if generators is None else tuple(generators)
+        self.leads = tuple(_leads(self.polys, order))
 
     def normal_form(self, p: Poly) -> Poly:
         # buchberger checked the basis when it was built; only p is new
         _check_regular([p])
-        return normal_form(p, self.polys, self.order, check=False)
+        return normal_form(p, self.polys, self.order, check=False, leads=self.leads)
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -181,17 +208,18 @@ def buchberger(
     _check_regular(gens)
     ngens = len(gens)
     basis: List[Poly] = []
-    lead: List[Tuple[Mono, Coeff]] = []
+    lead: List[Tuple[Mono, Coeff]] = []  # _leads(basis, order), kept as basis grows
     cof: List[List[Poly]] = []
 
     def join(p: Poly, row: Optional[List[Poly]]) -> bool:
         # divide p by the basis; a nonzero remainder joins it
         quotients = [{} for _ in basis] if with_cofactors else None
-        r = _divide(p, basis, order, quotients)
+        r = _divide(p, basis, order, quotients, lead)
         if r.is_zero():
             return False
         basis.append(r)
-        lead.append(leading_term(r, order))
+        lm, lc = leading_term(r, order)
+        lead.append((lm, invert_coeff(lc)))
         if with_cofactors:
             cof.append(_subtract_cofactors(row, quotients, cof))
         return True
@@ -219,15 +247,14 @@ def buchberger(
     spent = 0
     while pairs:
         _, i, j, l = heapq.heappop(pairs)
-        (lmi, lci), (lmj, lcj) = lead[i], lead[j]
+        (lmi, ci), (lmj, cj) = lead[i], lead[j]
         if l == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-poly reduces to zero
         spent += 1
         if spent > budget:
             raise GroebnerBudgetExceeded(budget)
         # S(f_i, f_j) = ui*f_i - uj*f_j; its cofactor row uses the same multipliers
-        ui, ci = mono_div(l, lmi), invert_coeff(lci)
-        uj, cj = mono_div(l, lmj), invert_coeff(lcj)
+        ui, uj = mono_div(l, lmi), mono_div(l, lmj)
         s = basis[i].mul_monomial(ui, ci) - basis[j].mul_monomial(uj, cj)
         row = None
         if with_cofactors:
@@ -256,13 +283,14 @@ def _interreduce(basis, lead, cof, order, gens) -> GroebnerBasis:
 
     # fully reduce each element against the others.  No kept leading
     # monomial divides another, so every leading term survives its division
+    # and ``lead`` stays the leads of ``polys``
     changed = True
     while changed:
         changed = False
         for i in range(len(polys)):
             others = polys[:i] + polys[i + 1:]
             quotients = None if cofs is None else [{} for _ in others]
-            r = _divide(polys[i], others, order, quotients)
+            r = _divide(polys[i], others, order, quotients, lead[:i] + lead[i + 1:])
             if r != polys[i]:
                 changed = True
                 if cofs is not None:
@@ -270,9 +298,8 @@ def _interreduce(basis, lead, cof, order, gens) -> GroebnerBasis:
                 polys[i] = r
 
     # normalize to monic and sort by leading monomial
-    for i, (_, lc) in enumerate(lead):
-        if lc != 1:
-            inv = invert_coeff(lc)
+    for i, (_, inv) in enumerate(lead):
+        if inv != 1:
             polys[i] = polys[i].scale(inv)
             if cofs is not None:
                 cofs[i] = [c.scale(inv) for c in cofs[i]]

@@ -21,7 +21,7 @@ from . import catalog
 from .derivations import exponential
 from .linalg import kernel_basis
 from .parse import parse_poly
-from .poly import Coeff, Poly, mono, render_poly
+from .poly import Coeff, Poly, invert_coeff, mono, render_poly
 from .quotient import sample_point
 
 U = "u"
@@ -342,7 +342,7 @@ def _birkhoff_core(M: tuple, budget: int) -> Tuple[tuple, Tuple[int, int], tuple
     def row_scale(i, c):
         T[i][0] = T[i][0].scale(c)
         T[i][1] = T[i][1].scale(c)
-        inv = Fraction(1) / Fraction(c)
+        inv = invert_coeff(c)
         P[0][i] = P[0][i].scale(inv)
         P[1][i] = P[1][i].scale(inv)
 
@@ -381,10 +381,10 @@ def _birkhoff_core(M: tuple, budget: int) -> Tuple[tuple, Tuple[int, int], tuple
                 raise AssertionError("diagonal entries must be monomials when det is monomial")
         c0 = T[0][0].single_term()[1]
         if c0 != 1:
-            row_scale(0, Fraction(1) / Fraction(c0))
+            row_scale(0, invert_coeff(c0))
         c1 = T[1][1].single_term()[1]
         if c1 != 1:
-            row_scale(1, Fraction(1) / Fraction(c1))
+            row_scale(1, invert_coeff(c1))
         i = _exp_range(T[0][0])[0]
         k = _exp_range(T[1][1])[0]
         beta = T[0][1]
@@ -402,7 +402,7 @@ def _birkhoff_core(M: tuple, budget: int) -> Tuple[tuple, Tuple[int, int], tuple
         # mix: kill the lowest surviving term and retry with larger valuation
         t_exp = _exp_range(beta)[0]
         b = beta.coeff_of(mono(u=t_exp) if t_exp else ())
-        col_op(0, 1, Poly.monomial(mono(u=i - t_exp) if i != t_exp else (), -Fraction(1) / Fraction(b)))
+        col_op(0, 1, Poly.monomial(mono(u=i - t_exp) if i != t_exp else (), -invert_coeff(b)))
 
     e1 = _exp_range(T[0][0])[0] + lo
     e2 = _exp_range(T[1][1])[0] + lo

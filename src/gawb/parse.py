@@ -7,18 +7,31 @@ Grammar (whitespace insensitive):
     factor  := primary ['^' ['-'] INT]
     primary := INT ['/' INT] | IDENT | '(' expr ')'
 
-Identifiers are ``[a-zA-Z][a-zA-Z0-9_]*``.  ``^`` takes a signed integer;
-a negative exponent is only legal on a unit (single-term) base.  Rational
-literals are written ``p/q``.  An explicit ``*`` is required between factors.
+Identifiers are ``[a-zA-Z][a-zA-Z0-9_]*``.  ``^`` takes a signed integer and
+applies to one primary, so ``x^2^3`` is an error; a negative exponent is only
+legal on a unit (single-term) base.  Rational literals are written ``p/q``.
+An explicit ``*`` is required between factors.  Error positions are 0-based
+character offsets into the text.
+
+The text is tokenized in one pass, and terms are built without ``Poly``
+arithmetic: a term of single-term factors (literals, identifiers, their
+powers and parenthesised single terms) multiplies one coefficient and
+collects one exponent dict, and ``expr`` adds each term into one term dict
+in place.  Only once a term meets a parenthesised factor of several terms
+does it continue with ``Poly.__mul__`` and ``Poly.__pow__``.  Each step
+performs the same coefficient operations, in the same order, as the
+corresponding ``Poly`` arithmetic, so the terms, their insertion order and
+their coefficient types (``int`` until a ``Fraction`` is needed) are those
+that ``Poly`` arithmetic on the factors would give.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .poly import LaurentSubstitutionError, Poly
+from .poly import LaurentSubstitutionError, Poly, invert_coeff, mono_pow
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -39,134 +52,157 @@ class UndeclaredVariableError(PolyParseError):
         self.name = name
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """``(kind, value, position)`` triples ending with ``("end", "", len)``.
+    An operator's kind is the operator itself; the other kinds are ``int``
+    and ``ident``."""
     tokens = []
+    append = tokens.append
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
+    for m in iter(_TOKEN_RE.scanner(text).match, None):
+        kind = m.lastgroup
+        val = m[kind]
+        pos = m.end()
+        append((val if kind == "op" else kind, val, pos - len(val)))
+    if pos < len(text):
+        stripped = text[pos:].lstrip()
+        if stripped:
             bad_at = len(text) - len(stripped)
             raise PolyParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+    append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, variables: Optional[Sequence[str]]):
-        self.text = text
+    """A factor is a ``(coeff, mono)`` pair while it is a single term
+    (coefficient 0 for zero) and ``(None, Poly)`` once it has several."""
+
+    __slots__ = ("tokens", "i", "variables")
+
+    def __init__(self, text: str, variables: Optional[set]):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.variables = None if variables is None else set(variables)
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise PolyParseError(f"expected {op!r}", pos)
-        return self.next()
+        self.variables = variables
 
     def parse(self) -> Poly:
-        p = self.expr()
-        kind, val, pos = self.peek()
+        terms = self.expr()
+        kind, val, pos = self.tokens[self.i]
         if kind != "end":
             raise PolyParseError(f"unexpected token {val!r}", pos)
-        return p
+        return Poly._raw(terms)
 
-    def expr(self) -> Poly:
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        p = self.term()
-        if sign < 0:
-            p = -p
+    def expr(self) -> dict:
+        tokens = self.tokens
+        kind = tokens[self.i][0]
+        negate = kind == "-"
+        if negate or kind == "+":
+            self.i += 1
+        acc: dict = {}
+        get = acc.get
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                q = self.term()
-                p = p - q if val == "-" else p + q
-            else:
-                return p
+            for m, c in self.term():
+                n = get(m, 0) - c if negate else get(m, 0) + c
+                if n:
+                    acc[m] = n
+                else:
+                    del acc[m]
+            kind = tokens[self.i][0]
+            if kind != "+" and kind != "-":
+                return acc
+            self.i += 1
+            negate = kind == "-"
 
-    def term(self) -> Poly:
-        p = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                p = p * self.factor()
-            else:
-                return p
+    def term(self):
+        """The term's ``(mono, coeff)`` pairs, in the order ``Poly``
+        arithmetic gives them."""
+        tokens = self.tokens
+        c, m = self.factor()
+        if tokens[self.i][0] != "*":
+            return m.terms.items() if c is None else ((m, c),) if c else ()
+        exps = None if c is None else dict(m)
+        while tokens[self.i][0] == "*":
+            self.i += 1
+            fc, fm = self.factor()
+            if exps is not None:
+                if fc is not None:
+                    c = c * fc
+                    get = exps.get
+                    for v, e in fm:
+                        n = get(v, 0) + e
+                        if n:
+                            exps[v] = n
+                        else:
+                            del exps[v]
+                    continue
+                m = Poly.monomial(tuple(sorted(exps.items())), c)
+                c = exps = None
+            m = m * (fm if fc is None else Poly.monomial(fm, fc))
+        if exps is None:
+            return m.terms.items()
+        return ((tuple(sorted(exps.items())), c),) if c else ()
 
-    def factor(self) -> Poly:
-        p = self.primary()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            exp = self.signed_int()
-            try:
-                p = p ** exp
-            except LaurentSubstitutionError as e:
-                raise PolyParseError(str(e), pos) from None
-        return p
-
-    def signed_int(self) -> int:
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            sign = -1
-        kind, val, pos = self.peek()
-        if kind != "int":
-            raise PolyParseError("expected integer exponent", pos)
-        self.next()
-        return sign * int(val)
-
-    def primary(self) -> Poly:
-        kind, val, pos = self.next()
-        if kind == "int":
-            num = int(val)
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.next()
-                k3, v3, p3 = self.peek()
-                if k3 != "int":
-                    raise PolyParseError("expected integer denominator", p3)
-                self.next()
-                den = int(v3)
-                if den == 0:
-                    raise PolyParseError("zero denominator", p3)
-                q = Fraction(num, den)
-                return Poly.const(q.numerator if q.denominator == 1 else q)
-            return Poly.const(num)
+    def factor(self) -> tuple:
+        tokens = self.tokens
+        kind, val, pos = tokens[self.i]
+        self.i += 1
         if kind == "ident":
             if self.variables is not None and val not in self.variables:
                 raise UndeclaredVariableError(val, pos)
-            return Poly.variable(val)
-        if kind == "op" and val == "(":
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        raise PolyParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+            c, m = 1, ((val, 1),)
+        elif kind == "int":
+            c, m = self.literal(int(val)), ()
+        elif kind == "(":
+            terms = self.expr()
+            kind, _, pos = tokens[self.i]
+            if kind != ")":
+                raise PolyParseError("expected ')'", pos)
+            self.i += 1
+            if len(terms) == 1:
+                ((m, c),) = terms.items()
+            else:
+                c, m = (None, Poly._raw(terms)) if terms else (0, ())
+        else:
+            raise PolyParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+        kind, _, pos = tokens[self.i]
+        if kind != "^":
+            return c, m
+        self.i += 1
+        k = self.signed_int()
+        if k == 0:
+            return 1, ()
+        if c:
+            return (c ** k if k > 0 else invert_coeff(c) ** -k), mono_pow(m, k)
+        try:
+            p = (Poly.zero() if c == 0 else m) ** k
+        except LaurentSubstitutionError as e:
+            raise PolyParseError(str(e), pos) from None
+        return (None, p) if p.terms else (0, ())
+
+    def literal(self, num: int):
+        tokens = self.tokens
+        if tokens[self.i][0] != "/":
+            return num
+        kind, val, pos = tokens[self.i + 1]
+        if kind != "int":
+            raise PolyParseError("expected integer denominator", pos)
+        self.i += 2
+        den = int(val)
+        if den == 0:
+            raise PolyParseError("zero denominator", pos)
+        q = Fraction(num, den)
+        return q.numerator if q.denominator == 1 else q
+
+    def signed_int(self) -> int:
+        tokens = self.tokens
+        sign = 1
+        if tokens[self.i][0] == "-":
+            self.i += 1
+            sign = -1
+        kind, val, pos = tokens[self.i]
+        if kind != "int":
+            raise PolyParseError("expected integer exponent", pos)
+        self.i += 1
+        return sign * int(val)
 
 
 def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> Poly:
@@ -175,5 +211,4 @@ def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> Poly:
     With ``variables`` given, identifiers outside the list raise
     UndeclaredVariableError; without it any identifier is accepted.
     """
-    vars_seq = None if variables is None else tuple(variables)
-    return _Parser(text, vars_seq).parse()
+    return _Parser(text, None if variables is None else set(variables)).parse()

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from . import groebner
 from .linalg import cofactor_det
 from .parse import parse_poly
-from .poly import Coeff, Poly, TermOrder, mono_from_map, render_poly
+from .poly import Coeff, Poly, TermOrder, invert_coeff, mono_from_map, render_poly
 
 PolyLike = Union[Poly, str, int, Fraction]
 
@@ -348,7 +348,7 @@ class RingElement:
             if idx is None or e < 0:
                 raise NotAUnitError(f"monomial factor {v!r} is not an inverted variable")
             denom[idx] += e
-        numer = Poly.const(Fraction(1) / Fraction(c)) * self.ring.denominator_poly(self.denom)
+        numer = Poly.const(invert_coeff(c)) * self.ring.denominator_poly(self.denom)
         return self.ring._make(numer, tuple(denom))
 
     def substitute(self, mapping: Mapping[str, "RingElement"]) -> "RingElement":
@@ -454,7 +454,7 @@ def unit_ideal_test(
     if not gb.is_unit_ideal():
         return UnitCertificate(False)
     const = gb.polys[0].constant_value()
-    cof = [c.scale(Fraction(1) / Fraction(const)) for c in gb.cofactors[0]]
+    cof = [c.scale(invert_coeff(const)) for c in gb.cofactors[0]]
     cert = UnitCertificate(True, tuple(cof[: len(polys)]), tuple(cof[len(polys):]))
     expanded = cert.expand(polys, pres.relations)
     if expanded != Poly.const(1):

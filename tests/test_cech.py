@@ -77,6 +77,40 @@ def test_normal_form_invariants_enforced():
         NormalFormMNP(2, 2, Poly.zero())
 
 
+_BAD_BOUNDS = "m, n must be >= 1"
+_ZERO = "p must be nonzero"
+_IRREGULAR = "p must be a regular polynomial"
+_DEGREE = "normal form requires deg_x p < m and deg_y p < n"
+
+
+@pytest.mark.parametrize("m, n, p, message", [
+    (0, 2, pp("x"), _BAD_BOUNDS),
+    (2, -1, pp("x"), _BAD_BOUNDS),
+    (2, 2, Poly.zero(), _ZERO),
+    (2, 2, pp("x*y^-1"), _IRREGULAR),
+    (2, 2, pp("x + u*y + v"), "p mentions ['u', 'v']"),
+    (2, 2, pp("x^2 + y"), _DEGREE),
+    (3, 2, pp("x^2 + y^2"), _DEGREE),
+])
+def test_normal_form_invariant_messages(m, n, p, message):
+    with pytest.raises(ValueError) as e:
+        NormalFormMNP(m, n, p)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("m, n, p, message", [
+    (0, 2, Poly.zero(), _BAD_BOUNDS),          # bounds before zero
+    (2, 2, pp("u + x^-1"), _IRREGULAR),         # a negative exponent before other variables
+    (2, 2, pp("x^5 + y^-1"), _IRREGULAR),       # ... and before the degree bounds
+    (2, 2, pp("x^3 + u"), "p mentions ['u']"),  # other variables before the degree bounds
+])
+def test_normal_form_invariant_precedence(m, n, p, message):
+    """Two faults at once: the earlier check's message wins."""
+    with pytest.raises(ValueError) as e:
+        NormalFormMNP(m, n, p)
+    assert str(e.value) == message
+
+
 def test_bundle_from_cocycle():
     pres, d = bundle_from_cocycle(NormalFormMNP(2, 2, Poly.const(1)))
     assert pres.relations[0] == pp("x^2*v - y^2*u - 1")

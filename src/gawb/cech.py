@@ -18,7 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import catalog
 from .derivations import Derivation
 from .parse import parse_poly
-from .poly import Coeff, Poly, invert_coeff, mono, mono_degree, mono_from_map, mono_mul
+from .poly import (
+    ONE_MONO, Coeff, Poly, invert_coeff, mono, mono_degree, mono_exp, mono_factors, mono_from_map,
+    mono_mul,
+)
 from .quotient import (
     AlgebraPresentation,
     RingElement,
@@ -82,8 +85,7 @@ def class_of(g: Poly, x: str = "x", y: str = "y") -> CocycleClass:
     _check_chart_support(g, x, y)
     d: Dict[Tuple[int, int], Coeff] = {}
     for m, c in g.terms.items():
-        e = dict(m)
-        ex, ey = e.get(x, 0), e.get(y, 0)
+        ex, ey = mono_exp(m, x), mono_exp(m, y)
         if ex < 0 and ey < 0:
             d[(-ex, -ey)] = c
     return CocycleClass.from_dict(d)
@@ -98,15 +100,7 @@ def is_coboundary(g: Poly, x: str = "x", y: str = "y") -> Tuple[bool, Optional[T
     _check_chart_support(g, x, y)
     if not class_of(g, x, y).is_trivial():
         return False, None
-    plus: Dict = {}
-    minus: Dict = {}
-    for m, c in g.terms.items():
-        e = dict(m)
-        if e.get(y, 0) >= 0:
-            plus[m] = c
-        else:
-            minus[m] = -c
-    g_plus, g_minus = Poly(plus), Poly(minus)
+    g_plus, g_minus = g.select(y, 0), -g.select(y, hi=-1)
     assert g_plus - g_minus == g
     return True, (g_plus, g_minus)
 
@@ -129,7 +123,7 @@ class NormalFormMNP:
         extra = set()
         deg_x = deg_y = 0
         for mo in self.p.terms:
-            for v, e in mo:
+            for v, e in mono_factors(mo):
                 if e < 0:
                     raise ValueError("p must be a regular polynomial")
                 if v == "x":
@@ -224,21 +218,10 @@ def _hypersurface_relation(m: int, n: int, p: Poly, fiber: str) -> Poly:
 
 def _split_y(p: Poly) -> Tuple[int, Poly]:
     """p = y^b * p' with p' having a nonzero y-free part; returns (b, p')."""
-    b = p.min_exponent("y")
+    b = p.exponent_range("y")[0]
     if b == 0:
         return 0, p
     return b, p.mul_monomial(mono(y=-b))
-
-
-def _y_free_part(p: Poly) -> Poly:
-    terms = {}
-    for m, c in p.terms.items():
-        for v, _ in m:
-            if v == "y":
-                break
-        else:
-            terms[m] = c
-    return Poly(terms)
 
 
 def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
@@ -253,7 +236,7 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     """
     m, n, p = nf.m, nf.n, nf.p
 
-    p00 = p.coeff_of(())
+    p00 = p.coeff_of(ONE_MONO)
     if p00 != 0:
         return AffinenessCertificate(m, n, p, (), "HypersurfaceInA4")
 
@@ -266,7 +249,7 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     while True:
         if len(trace) >= max_steps:
             raise CertificateError("recursion exceeded its termination bound")
-        p0 = _y_free_part(cur_p)
+        p0 = cur_p.select("y", 0, 0)
         if p0.is_zero():
             # Case 2: strip y^b
             b, new_p = _split_y(cur_p)
@@ -287,9 +270,9 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
             fiber = new_fiber
             continue
         # Case 1: p0 = x^a q0, q0(0) != 0
-        a = p0.min_exponent("x")
+        a = p0.exponent_range("x")[0]
         q0 = p0.mul_monomial(mono(x=-a)) if a else p0
-        if q0.coeff_of(()) == 0:
+        if q0.coeff_of(ONE_MONO) == 0:
             raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
         relation = _hypersurface_relation(m, cur_n, cur_p, fiber)
         witness = Poly.monomial(mono_from_map({"x": m - a, fiber: 1})) - q0
@@ -319,7 +302,7 @@ def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: s
       the same holds for every smaller power of x, so no k < a works.
     """
     shift = mono(x=a)
-    f = _y_free_part(relation).terms
+    f = relation.select("y", 0, 0).terms
     if len(f) != len(witness.terms) or any(
         f.get(mono_mul(mo, shift)) != c for mo, c in witness.terms.items()
     ):
@@ -366,14 +349,13 @@ def laurent_from_element(e: RingElement, chart_vars: Sequence[str]) -> Optional[
         if not f.is_single_term():
             return None
         mo, c = f.single_term()
-        if any(v not in chart_vars for v, _ in mo):
-            return None
-        for v, exp in mo:
+        for v, exp in mono_factors(mo):
+            if v not in chart_vars:
+                return None
             shift[v] = shift.get(v, 0) - a * exp
         if c != 1:
             scale = scale * invert_coeff(c) ** a
-    out = e.numer.mul_monomial(tuple(sorted((v, s) for v, s in shift.items() if s)), scale)
-    return out
+    return e.numer.mul_monomial(mono_from_map(shift), scale)
 
 
 def action_cocycle(

@@ -338,7 +338,7 @@ def verify_action(action: ActionMap, law: GroupLaw) -> ActionReport:
 
     rel_res: Dict[str, str] = {}
     for i, r in enumerate(base.relations):
-        img = _apply_images_to_poly(r, action.images, action.ring)
+        img = action.ring.substitute(r, action.images)
         if not img.is_zero():
             rel_res[f"relation[{i}]"] = img.render()
     checks.append(ActionCheck("relations-preserved", not rel_res, rel_res))
@@ -388,18 +388,3 @@ def verify_action(action: ActionMap, law: GroupLaw) -> ActionReport:
 
     return ActionReport(law, checks)
 
-
-def _apply_images_to_poly(
-    p: Poly, images: Mapping[str, RingElement], ring: AlgebraPresentation
-) -> RingElement:
-    """Formal substitution of images into a raw polynomial (no pre-reduction)."""
-    out = ring.zero()
-    for m, c in p.terms.items():
-        acc = ring.element(Poly.const(c))
-        for v, e in m:
-            img = images.get(v)
-            if img is None:
-                img = ring.var(v)
-            acc = acc * img ** e
-        out = out + acc
-    return out

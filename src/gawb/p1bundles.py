@@ -21,7 +21,7 @@ from . import catalog
 from .derivations import exponential
 from .linalg import kernel_basis
 from .parse import parse_poly
-from .poly import Coeff, Poly, invert_coeff, mono, render_poly
+from .poly import Coeff, Poly, invert_coeff, mono, mono_exp, render_poly
 from .quotient import sample_point
 
 U = "u"
@@ -45,13 +45,6 @@ def u_poly(text: Union[str, Poly, int, Fraction]) -> Poly:
     if p.variables() - {U}:
         raise ValueError("expected a Laurent polynomial in u only")
     return p
-
-
-def _exp_range(p: Poly) -> Tuple[int, int]:
-    if p.is_zero():
-        return (0, 0)
-    exps = [dict(m).get(U, 0) for m in p.terms]
-    return (min(exps), max(exps))
 
 
 def _u_power(p: Poly, k: int) -> Poly:
@@ -127,7 +120,7 @@ class TorsorClass:
 
 
 def torsor_class(tt: TorsorTransition) -> TorsorClass:
-    coeffs = [tt.phi.coeff_of(mono(u=k)) if k else tt.phi.coeff_of(()) for k in range(1, tt.d)]
+    coeffs = [tt.phi.coeff_of(mono(u=k)) for k in range(1, tt.d)]
     return TorsorClass(tt.d, tuple(coeffs))
 
 
@@ -136,15 +129,7 @@ def torsor_witness(tt: TorsorTransition) -> Tuple[Poly, Poly]:
 
     When the class vanishes the witness reconstructs phi exactly.
     """
-    s0_terms: Dict = {}
-    s1_terms: Dict = {}
-    for m, c in tt.phi.terms.items():
-        e = dict(m).get(U, 0)
-        if e >= tt.d:
-            s0_terms[mono(u=e - tt.d)] = c
-        elif e <= 0:
-            s1_terms[m] = -c
-    return Poly(s0_terms), Poly(s1_terms)
+    return _u_power(tt.phi.select(U, tt.d), -tt.d), -tt.phi.select(U, hi=0)
 
 
 @dataclass(frozen=True)
@@ -201,7 +186,7 @@ class TransitionMatrix2:
     @property
     def det_exponent(self) -> int:
         m, _ = self.det().single_term()
-        return dict(m).get(U, 0)
+        return mono_exp(m, U)
 
     def twist(self, j: int) -> "TransitionMatrix2":
         """Transition of E tensor O(j): scalar twist u^-j on the u-chart side."""
@@ -210,14 +195,8 @@ class TransitionMatrix2:
         )
 
     def exponent_spread(self) -> int:
-        los, his = [], []
-        for row in self.entries:
-            for p in row:
-                if not p.is_zero():
-                    lo, hi = _exp_range(p)
-                    los.append(lo)
-                    his.append(hi)
-        return max(his) - min(los) if los else 0
+        ranges = [p.exponent_range(U) for row in self.entries for p in row if not p.is_zero()]
+        return max(hi for _, hi in ranges) - min(lo for lo, _ in ranges) if ranges else 0
 
     def to_json(self) -> list:
         return [[render_poly(p) for p in row] for row in self.entries]
@@ -271,7 +250,7 @@ def _is_regular_u(A) -> bool:
 
 
 def _is_regular_uinv(A) -> bool:
-    return all(_exp_range(p)[1] <= 0 or p.is_zero() for row in A for p in row)
+    return all(p.exponent_range(U)[1] <= 0 for row in A for p in row)
 
 
 @dataclass(frozen=True)
@@ -311,18 +290,14 @@ class BirkhoffFactorization:
     def diagonal(self) -> tuple:
         e1, e2 = self.exponents
         return (
-            (Poly.monomial(mono(u=e1)) if e1 else Poly.const(1), Poly.zero()),
-            (Poly.zero(), Poly.monomial(mono(u=e2)) if e2 else Poly.const(1)),
+            (Poly.monomial(mono(u=e1)), Poly.zero()),
+            (Poly.zero(), Poly.monomial(mono(u=e2))),
         )
 
 
 def _birkhoff_core(M: tuple, budget: int) -> Tuple[tuple, Tuple[int, int], tuple]:
     """Factor M = P * diag * Q with P in GL2(C[u]) and Q in GL2(C[u^-1])."""
-    lo = 0
-    for row in M:
-        for p in row:
-            if not p.is_zero():
-                lo = min(lo, _exp_range(p)[0])
+    lo = min(0, *(p.exponent_range(U)[0] for row in M for p in row))
     T = [[_u_power(p, -lo) for p in row] for row in M]
     P = [list(r) for r in _IDENT]
     Q = [list(r) for r in _IDENT]
@@ -359,14 +334,14 @@ def _birkhoff_core(M: tuple, budget: int) -> Tuple[tuple, Tuple[int, int], tuple
             if T[0][0].is_zero():
                 row_swap()
                 continue
-            d0 = _exp_range(T[0][0])[1]
-            d1 = _exp_range(T[1][0])[1]
+            d0 = T[0][0].exponent_range(U)[1]
+            d1 = T[1][0].exponent_range(U)[1]
             if d1 < d0:
                 row_swap()
                 continue
-            c0 = T[0][0].coeff_of(mono(u=d0) if d0 else ())
-            c1 = T[1][0].coeff_of(mono(u=d1) if d1 else ())
-            q = Poly.monomial(mono(u=d1 - d0) if d1 != d0 else (), -Fraction(c1) / Fraction(c0))
+            c0 = T[0][0].coeff_of(mono(u=d0))
+            c1 = T[1][0].coeff_of(mono(u=d1))
+            q = Poly.monomial(mono(u=d1 - d0), -Fraction(c1) / Fraction(c0))
             row_op(1, 0, q)
 
     steps = 0
@@ -385,27 +360,27 @@ def _birkhoff_core(M: tuple, budget: int) -> Tuple[tuple, Tuple[int, int], tuple
         c1 = T[1][1].single_term()[1]
         if c1 != 1:
             row_scale(1, invert_coeff(c1))
-        i = _exp_range(T[0][0])[0]
-        k = _exp_range(T[1][1])[0]
+        i = T[0][0].exponent_range(U)[0]
+        k = T[1][1].exponent_range(U)[0]
         beta = T[0][1]
         # clear exponents >= k through row 2, then exponents <= i through column 1
-        high = Poly({m: c for m, c in beta.terms.items() if dict(m).get(U, 0) >= k})
+        high = beta.select(U, k)
         if not high.is_zero():
             row_op(0, 1, -_u_power(high, -k))
         beta = T[0][1]
-        low = Poly({m: c for m, c in beta.terms.items() if dict(m).get(U, 0) <= i})
+        low = beta.select(U, hi=i)
         if not low.is_zero():
             col_op(1, 0, -_u_power(low, -i))
         beta = T[0][1]
         if beta.is_zero():
             break
         # mix: kill the lowest surviving term and retry with larger valuation
-        t_exp = _exp_range(beta)[0]
-        b = beta.coeff_of(mono(u=t_exp) if t_exp else ())
-        col_op(0, 1, Poly.monomial(mono(u=i - t_exp) if i != t_exp else (), -invert_coeff(b)))
+        t_exp = beta.exponent_range(U)[0]
+        b = beta.coeff_of(mono(u=t_exp))
+        col_op(0, 1, Poly.monomial(mono(u=i - t_exp), -invert_coeff(b)))
 
-    e1 = _exp_range(T[0][0])[0] + lo
-    e2 = _exp_range(T[1][1])[0] + lo
+    e1 = T[0][0].exponent_range(U)[0] + lo
+    e2 = T[1][1].exponent_range(U)[0] + lo
     return (
         tuple(tuple(r) for r in P),
         (e1, e2),
@@ -478,7 +453,7 @@ def _h0_fixed_degree(Mj, D: int) -> List[List[Coeff]]:
         eqs: Dict[int, Dict[int, Coeff]] = {}
         for part in range(2):
             for m, c in Mj[r][part].terms.items():
-                e = dict(m).get(U, 0)
+                e = mono_exp(m, U)
                 for deg in range(max(0, 1 - e), D + 1):
                     eq = eqs.setdefault(e + deg, {})
                     col = cols[part][deg]

@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .poly import LaurentSubstitutionError, Poly, invert_coeff, mono_pow
+from .poly import LaurentSubstitutionError, Poly, invert_coeff, mono_factors, mono_from_map
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -74,8 +74,10 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    """A factor is a ``(coeff, mono)`` pair while it is a single term
-    (coefficient 0 for zero) and ``(None, Poly)`` once it has several."""
+    """A factor is a ``(coeff, exponent dict)`` pair while it is a single
+    term (coefficient 0 for zero) and ``(None, Poly)`` once it has several.
+    Each factor's dict is new, so a term collects its exponents in the dict
+    of its first factor."""
 
     __slots__ = ("tokens", "i", "variables")
 
@@ -117,9 +119,7 @@ class _Parser:
         arithmetic gives them."""
         tokens = self.tokens
         c, m = self.factor()
-        if tokens[self.i][0] != "*":
-            return m.terms.items() if c is None else ((m, c),) if c else ()
-        exps = None if c is None else dict(m)
+        exps = None if c is None else m
         while tokens[self.i][0] == "*":
             self.i += 1
             fc, fm = self.factor()
@@ -127,19 +127,15 @@ class _Parser:
                 if fc is not None:
                     c = c * fc
                     get = exps.get
-                    for v, e in fm:
-                        n = get(v, 0) + e
-                        if n:
-                            exps[v] = n
-                        else:
-                            del exps[v]
+                    for v, e in fm.items():
+                        exps[v] = get(v, 0) + e
                     continue
-                m = Poly.monomial(tuple(sorted(exps.items())), c)
+                m = Poly.monomial(mono_from_map(exps), c)
                 c = exps = None
-            m = m * (fm if fc is None else Poly.monomial(fm, fc))
+            m = m * (fm if fc is None else Poly.monomial(mono_from_map(fm), fc))
         if exps is None:
             return m.terms.items()
-        return ((tuple(sorted(exps.items())), c),) if c else ()
+        return ((mono_from_map(exps), c),) if c else ()
 
     def factor(self) -> tuple:
         tokens = self.tokens
@@ -148,9 +144,9 @@ class _Parser:
         if kind == "ident":
             if self.variables is not None and val not in self.variables:
                 raise UndeclaredVariableError(val, pos)
-            c, m = 1, ((val, 1),)
+            c, m = 1, {val: 1}
         elif kind == "int":
-            c, m = self.literal(int(val)), ()
+            c, m = self.literal(int(val)), {}
         elif kind == "(":
             terms = self.expr()
             kind, _, pos = tokens[self.i]
@@ -159,8 +155,9 @@ class _Parser:
             self.i += 1
             if len(terms) == 1:
                 ((m, c),) = terms.items()
+                m = dict(mono_factors(m))
             else:
-                c, m = (None, Poly._raw(terms)) if terms else (0, ())
+                c, m = (None, Poly._raw(terms)) if terms else (0, {})
         else:
             raise PolyParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
         kind, _, pos = tokens[self.i]
@@ -169,14 +166,14 @@ class _Parser:
         self.i += 1
         k = self.signed_int()
         if k == 0:
-            return 1, ()
+            return 1, {}
         if c:
-            return (c ** k if k > 0 else invert_coeff(c) ** -k), mono_pow(m, k)
+            return (c ** k if k > 0 else invert_coeff(c) ** -k), {v: e * k for v, e in m.items()}
         try:
             p = (Poly.zero() if c == 0 else m) ** k
         except LaurentSubstitutionError as e:
             raise PolyParseError(str(e), pos) from None
-        return (None, p) if p.terms else (0, ())
+        return (None, p) if p.terms else (0, {})
 
     def literal(self, num: int):
         tokens = self.tokens

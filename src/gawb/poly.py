@@ -7,19 +7,27 @@ monomials to nonzero coefficients; coefficients are ``int`` or
 an empty term dict.  Coefficients stay ``int`` until a division by a
 non-unit needs a ``Fraction``: ``invert_coeff`` keeps 1 and -1 integral, and
 products are formed in ``int`` over a common denominator.
+
+The monomial layout is private to this module.  Other modules build
+monomials with ``mono``, ``mono_from_map``, ``ONE_MONO`` and the ``mono_*``
+arithmetic, and read them only through ``mono_exp`` (one variable's
+exponent), ``mono_factors`` (every ``(variable, exponent)`` pair),
+``Poly.exponent_range`` and ``Poly.select``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import neg
+from math import inf, lcm
+from operator import itemgetter, neg
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 
 ONE_MONO: Mono = ()
+
+_exponent = itemgetter(1)  # of a (variable, exponent) pair; 0 is falsy
 
 
 class LaurentSubstitutionError(ValueError):
@@ -31,7 +39,7 @@ def mono(**exps: int) -> Mono:
 
 
 def mono_from_map(exps: Mapping[str, int]) -> Mono:
-    return tuple(sorted((v, e) for v, e in exps.items() if e != 0))
+    return tuple(sorted(filter(_exponent, exps.items())))
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -47,6 +55,20 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         else:
             del d[v]
     return tuple(sorted(d.items()))
+
+
+def mono_exp(m: Mono, var: str) -> int:
+    """The exponent of var in m (0 when var does not occur)."""
+    for v, e in m:
+        if v == var:
+            return e
+    return 0
+
+
+def mono_factors(m: Mono) -> Iterable[tuple[str, int]]:
+    """The ``(variable, exponent)`` pairs of m, sorted by variable; every
+    exponent is nonzero."""
+    return m
 
 
 def mono_pow(a: Mono, k: int) -> Mono:
@@ -233,25 +255,37 @@ class Poly:
         return max(mono_degree(m, variables) for m in self.terms)
 
     def degree_in(self, var: str) -> int:
-        deg = 0
+        """Largest exponent of var over terms, floored at 0."""
+        return max(0, self.exponent_range(var)[1])
+
+    # exponent_range and select inline mono_exp's scan: both run per
+    # certificate in the affineness sweep
+
+    def exponent_range(self, var: str) -> tuple[int, int]:
+        """(smallest, largest) exponent of var over terms, counting 0 for a
+        term without var; (0, 0) for the zero polynomial."""
+        exps = []
         for m in self.terms:
             for v, e in m:
-                if v == var and e > deg:
-                    deg = e
-        return deg
-
-    def min_exponent(self, var: str) -> int:
-        """Smallest exponent of var over terms (0 if var absent from a term)."""
-        best = None
-        for m in self.terms:
-            e = 0
-            for v, k in m:
                 if v == var:
-                    e = k
                     break
-            if best is None or e < best:
-                best = e
-        return 0 if best is None else best
+            else:
+                e = 0
+            exps.append(e)
+        return (min(exps), max(exps)) if exps else (0, 0)
+
+    def select(self, var: str, lo: float = -inf, hi: float = inf) -> "Poly":
+        """The terms whose var-exponent lies in [lo, hi], in insertion order."""
+        out = {}
+        for m, c in self.terms.items():
+            for v, e in m:
+                if v == var:
+                    break
+            else:
+                e = 0
+            if lo <= e <= hi:
+                out[m] = c
+        return Poly._raw(out)
 
     def coeff_of(self, m: Mono) -> Coeff:
         return self.terms.get(m, 0)
@@ -363,7 +397,7 @@ class Poly:
         """Formal partial derivative (valid for Laurent exponents too)."""
         d: dict = {}
         for m, c in self.terms.items():
-            e = dict(m).get(var, 0)
+            e = mono_exp(m, var)
             if e == 0:
                 continue
             nm = mono_mul(m, ((var, -1),))

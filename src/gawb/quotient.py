@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from . import groebner
 from .linalg import cofactor_det
 from .parse import parse_poly
-from .poly import Coeff, Poly, TermOrder, invert_coeff, mono_from_map, render_poly
+from .poly import Coeff, Poly, TermOrder, invert_coeff, mono_factors, mono_from_map, render_poly
 
 PolyLike = Union[Poly, str, int, Fraction]
 
@@ -78,10 +78,9 @@ class AlgebraPresentation:
                 raise PresentationError("inverted elements must be regular polynomials")
             if self.basis.normal_form(f).is_zero():
                 raise PresentationError(f"inverted element {render_poly(f)} is zero modulo relations")
-            if f.is_single_term():
-                m, c = f.single_term()
-                if c == 1 and len(m) == 1 and m[0][1] == 1:
-                    self._unit_vars.setdefault(m[0][0], i)
+            vs = tuple(f.variables())
+            if len(vs) == 1 and f == Poly.variable(vs[0]):
+                self._unit_vars.setdefault(vs[0], i)
 
     def _parse(self, p: PolyLike) -> Poly:
         if isinstance(p, Poly):
@@ -160,7 +159,7 @@ class AlgebraPresentation:
             # move negative powers of inverted variables into the denominator
             shifts: Dict[str, int] = {}
             for v in p.variables():
-                low = p.min_exponent(v)
+                low = p.exponent_range(v)[0]
                 if low < 0:
                     idx = self._unit_vars.get(v)
                     if idx is None:
@@ -181,6 +180,24 @@ class AlgebraPresentation:
         e.numer = numer
         e.denom = denom
         return e
+
+    def substitute(self, p: Poly, images: Mapping[str, "RingElement"]) -> "RingElement":
+        """The element p(images): the images replace the variables of the raw
+        (unreduced) polynomial p, and a variable without an image stays."""
+        out = self.zero()
+        for m, c in p.terms.items():
+            acc = self.element(Poly.const(c))
+            residual: Dict[str, int] = {}
+            for v, e in mono_factors(m):
+                img = images.get(v)
+                if img is None:
+                    residual[v] = e
+                else:
+                    acc = acc * img ** e
+            if residual:
+                acc = acc * self.element(Poly.monomial(mono_from_map(residual)))
+            out = out + acc
+        return out
 
     def denominator_poly(self, denom: Tuple[int, ...]) -> Poly:
         out = Poly.const(1)
@@ -343,7 +360,7 @@ class RingElement:
             raise NotAUnitError("element is not a single term; cannot invert")
         m, c = self.numer.single_term()
         denom = [0] * len(self.ring.inverted)
-        for v, e in m:
+        for v, e in mono_factors(m):
             idx = self.ring._unit_vars.get(v)
             if idx is None or e < 0:
                 raise NotAUnitError(f"monomial factor {v!r} is not an inverted variable")
@@ -358,22 +375,7 @@ class RingElement:
         through and must substitute to invertible elements.
         """
         ring = self.ring
-        images: Dict[str, RingElement] = {}
-        for v, e in mapping.items():
-            images[v] = self._coerce(e)
-        out = ring.zero()
-        for m, c in self.numer.terms.items():
-            acc = ring.element(Poly.const(c))
-            residual: Dict[str, int] = {}
-            for v, e in m:
-                img = images.get(v)
-                if img is None:
-                    residual[v] = e
-                else:
-                    acc = acc * img ** e
-            if residual:
-                acc = acc * ring.element(Poly.monomial(mono_from_map(residual)))
-            out = out + acc
+        out = ring.substitute(self.numer, {v: self._coerce(e) for v, e in mapping.items()})
         for f, e in zip(ring.inverted, self.denom):
             if not e:
                 continue
@@ -558,17 +560,9 @@ def _solvable_variable(pres: AlgebraPresentation) -> Tuple[str, Poly, Poly]:
     for v in pres.variables:
         if rel.degree_in(v) != 1:
             continue
-        a_terms = {}
-        b_terms = {}
-        for m, c in rel.terms.items():
-            e = dict(m).get(v, 0)
-            if e == 0:
-                b_terms[m] = c
-            else:
-                a_terms[tuple((w, k) for w, k in m if w != v)] = c
-        A = Poly(a_terms)
+        A = rel.select(v, 1, 1).mul_monomial(mono_from_map({v: -1}))
         if A.is_single_term():
-            return v, A, Poly(b_terms)
+            return v, A, rel.select(v, 0, 0)
     raise SamplingError("no variable occurs linearly with a monomial coefficient")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from .linalg import det
-from .poly import Coeff, Poly
+from .poly import Coeff, Poly, mono_exp
 
 
 class NonHomogeneousError(ValueError):
@@ -31,8 +31,7 @@ def form_coefficients(f: Poly, x: str, y: str) -> List:
         raise NonHomogeneousError("polynomial is not a homogeneous binary form")
     coeffs = [0] * (m + 1)
     for mo, c in f.terms.items():
-        ey = dict(mo).get(y, 0)
-        coeffs[ey] = c
+        coeffs[mono_exp(mo, y)] = c
     return coeffs
 
 

@@ -7,8 +7,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
-from .cech import NormalFormMNP, affineness_certificate
-from .poly import Poly, mono
+from .cech import Case2Step, NormalFormMNP, affineness_certificate
+from .poly import ONE_MONO, Poly, mono
 
 
 def iter_sweep_polys(m: int, n: int, lo: int = -2, hi: int = 2) -> Iterator[Poly]:
@@ -74,11 +74,11 @@ def affineness_sweep_block(
             raise AssertionError(f"certificate for {p!r} exceeded its step bound")
         if cert.outcome != "UnitCertificate":
             raise AssertionError(f"sweep polynomial {p!r} vanishes at the origin but gave {cert.outcome}")
-        if cert.q0 is None or cert.q0.coeff_of(()) == 0:
+        if cert.q0 is None or cert.q0.coeff_of(ONE_MONO) == 0:
             raise AssertionError(f"terminal q0 vanishes at 0 for {p!r}")
         block.count += 1
         block.max_steps = max(block.max_steps, steps)
-        block.case2_count += sum(1 for s in cert.trace if type(s).__name__ == "Case2Step")
+        block.case2_count += sum(1 for s in cert.trace if isinstance(s, Case2Step))
     block.seconds = clock() - t0
     return block
 

@@ -83,15 +83,21 @@ def test_report_json_deterministic():
     assert a == b
 
 
-REPORT_SHA256 = "6b5c4c21a4e1e694c710f0a11ea2eb8b274b2054748692496f60023c96c2c93b"
+REPORT_SHA256 = {
+    0: "c697cac4ddc6607289a9a2c81b96596a545d8707718fc9eb35c23ca53da2d7fa",
+    7: "cc5b3b3de4668cc937053d1d09e0746a173baa132563ca1beb964f214baa3b52",
+    42: "6b5c4c21a4e1e694c710f0a11ea2eb8b274b2054748692496f60023c96c2c93b",
+}
 
 
-def test_report_digest_pinned(report):
-    """The whole seed-42 report, as ``verify-paper --json`` prints it, is pinned
-    by its sha256.  A change meant to alter a claim's outcome, text or
-    residual must update REPORT_SHA256 in the same commit."""
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+@pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+def test_report_digest_pinned(seed, report):
+    """The whole report at each pinned seed, as ``verify-paper --json``
+    prints it, is pinned by its sha256.  A change meant to alter a claim's
+    outcome, text or residual must update REPORT_SHA256 in the same commit."""
+    rep = report if seed == 42 else run_claims(RunConfig(seed=seed))
+    text = json.dumps(rep.to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[seed]
 
 
 def test_second_cli_pass_matches_report(report, capsys):

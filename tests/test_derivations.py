@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,9 +18,10 @@ from gawb.derivations import (
     verify_action,
 )
 from gawb.parse import parse_poly as pp
+from gawb.poly import Poly, mono_factors
 from gawb.quotient import AlgebraPresentation, sample_point
 
-from conftest import polys
+from conftest import polys, seeded_poly
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +190,46 @@ def test_failed_action_residual_visible_at_points():
         if diff.evaluate(pt) != 0:
             hits += 1
     assert hits > 0
+
+
+def _reference_apply_images(p, images, ring):
+    """The reference substitution of images into the raw polynomial p: each
+    factor of each term multiplies the running element by its image's power,
+    and a variable without an image by itself."""
+    out = ring.zero()
+    for m, c in p.terms.items():
+        acc = ring.element(Poly.const(c))
+        for v, e in mono_factors(m):
+            img = images.get(v)
+            if img is None:
+                img = ring.var(v)
+            acc = acc * img ** e
+        out = out + acc
+    return out
+
+
+def test_substitute_matches_reference_walk():
+    """AlgebraPresentation.substitute gives the reference walk's element:
+    the same numerator terms in the same insertion order, and the same
+    denominator.  It covers the relations of xmn(m, n) for m, n <= 3 and
+    seeded raw polynomials, under the exponential and the G_m images, and
+    with images for only some of the variables."""
+    rng = random.Random(2011)
+    seen = set()
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for action in (catalog.ga_action(m, n), catalog.gm_action(m, n)):
+                ring, images = action.ring, action.images
+                partial = {v: images[v] for v in ("x", "u")}
+                raw = list(action.base.relations)
+                raw += [seeded_poly(rng, ("x", "y", "u", "v"), 4, 2, nonzero=True) for _ in range(3)]
+                for p in raw:
+                    for imgs in (images, partial):
+                        want = _reference_apply_images(p, imgs, ring)
+                        got = ring.substitute(p, imgs)
+                        assert list(got.numer.terms.items()) == list(want.numer.terms.items())
+                        assert got.denom == want.denom
+                        seen.add("zero" if got.is_zero() else "nonzero")
+                        if any(got.denom):
+                            seen.add("denominator")
+    assert seen == {"zero", "nonzero", "denominator"}

@@ -24,7 +24,7 @@ from gawb.p1bundles import (
     u_poly,
     verify_trivialization,
 )
-from gawb.poly import Poly, mono
+from gawb.poly import Poly, mono, mono_exp
 
 
 def test_gd_multiplication():
@@ -91,7 +91,7 @@ def test_h0_examples():
         h1 = Mj.entries[0][0] * g1 + Mj.entries[0][1] * g2
         h2 = Mj.entries[1][0] * g1 + Mj.entries[1][1] * g2
         for h in (h1, h2):
-            assert all(dict(m).get("u", 0) <= 0 for m in h.terms)
+            assert all(mono_exp(m, "u") <= 0 for m in h.terms)
 
 
 def test_birkhoff_examples():
@@ -99,6 +99,16 @@ def test_birkhoff_examples():
     assert birkhoff_split(transition_matrix(3, 1)).splitting == SplittingType(-1, -3)
     diag = TransitionMatrix2(((u_poly("u^3"), Poly.zero()), (Poly.zero(), u_poly("u^-1"))))
     assert birkhoff_split(diag).splitting == SplittingType(1, -3)
+
+
+def test_birkhoff_budget_raises_typed_error():
+    """This matrix takes five reduction steps: a budget of four raises
+    ReductionBudgetExceeded, and five or the default budget succeed."""
+    M = TransitionMatrix2.from_json([["u^2", "u^-1 + 2*u^-2 + 2*u^-3 + 2*u^-4"], ["0", "u^2"]])
+    with pytest.raises(p1bundles.ReductionBudgetExceeded, match="exceeded 4 steps"):
+        birkhoff_split(M, budget=4)
+    assert birkhoff_split(M, budget=5).splitting == SplittingType(-2, -2)
+    assert birkhoff_split(M).splitting == SplittingType(-2, -2) == splitting_by_h0_scan(M)
 
 
 def test_splitting_sum_matches_determinant():

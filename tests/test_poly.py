@@ -9,6 +9,9 @@ from gawb.poly import (
     Poly,
     TermOrder,
     mono,
+    mono_exp,
+    mono_factors,
+    mono_from_map,
     mono_mul,
     render_poly,
 )
@@ -215,3 +218,46 @@ def test_heap_key_pops_largest_first():
         order = TermOrder(kind, ("x", "y", "z"))
         monos = {mono(x=rng.randint(0, 4), y=rng.randint(0, 4), z=rng.randint(0, 4)) for _ in range(60)}
         assert sorted(monos, key=order.heap_key) == order.sorted_monos(monos)
+
+
+def test_accessors_match_dict_reference():
+    """mono_exp, mono_factors, Poly.exponent_range, Poly.degree_in and
+    Poly.select agree with a reading of each monomial through dict(m), over
+    seeded Laurent polynomials, the zero polynomial and all-negative
+    exponents, for variables present and absent."""
+    rng = random.Random(1109)
+    cases = [Poly.zero(), parse_poly("u^-2"), parse_poly("3*u^-2*x^-1 - u^-5*y^-3 + 1/2*x^-4")]
+    cases += [seeded_poly(rng, ("u", "x", "y"), 6, 3, laurent=True) for _ in range(200)]
+    bounds = [(lo, hi) for lo in range(-3, 4) for hi in range(lo - 1, 4)]
+    seen = set()
+    for p in cases:
+        for m in p.terms:
+            assert list(mono_factors(m)) == sorted(dict(m).items())
+            assert all(e for _, e in mono_factors(m))
+            assert mono_from_map(dict(mono_factors(m))) == m
+            exps = {v: rng.randint(-1, 1) for v in ("y", "z", "u")}
+            built = mono_from_map({**dict(m), **exps})
+            assert dict(built) == {v: e for v, e in {**dict(m), **exps}.items() if e}
+            assert list(mono_factors(built)) == sorted(dict(built).items())
+        for var in ("u", "x", "y", "z"):
+            exps = [dict(m).get(var, 0) for m in p.terms]
+            assert [mono_exp(m, var) for m in p.terms] == exps
+            assert p.exponent_range(var) == ((min(exps), max(exps)) if exps else (0, 0))
+            assert p.degree_in(var) == max([0] + exps)
+            if exps and max(exps) < 0:
+                seen.add("all negative")
+            items = list(p.terms.items())
+            assert list(p.select(var).terms.items()) == items
+            for lo, hi in bounds:
+                want = [(m, c) for m, c in items if lo <= dict(m).get(var, 0) <= hi]
+                assert list(p.select(var, lo, hi).terms.items()) == want
+                assert list(p.select(var, lo).terms.items()) == [
+                    (m, c) for m, c in items if dict(m).get(var, 0) >= lo
+                ]
+                assert list(p.select(var, hi=hi).terms.items()) == [
+                    (m, c) for m, c in items if dict(m).get(var, 0) <= hi
+                ]
+    assert "all negative" in seen
+    # the floor at 0 is where degree_in and the range's top differ
+    assert parse_poly("u^-2").exponent_range("u") == (-2, -2)
+    assert parse_poly("u^-2").degree_in("u") == 0

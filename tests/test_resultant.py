@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gawb.parse import parse_poly
-from gawb.poly import Poly, mono
+from gawb.poly import Poly, mono, mono_exp
 from gawb.resultant import NonHomogeneousError, binary_resultant, sylvester_matrix
 
 
@@ -60,9 +60,9 @@ def _coeff_vectors(f, g, m, n):
     af = [Fraction(0)] * (m + 1)
     ag = [Fraction(0)] * (n + 1)
     for mo, c in f.terms.items():
-        af[dict(mo).get("x", 0)] += Fraction(c)
+        af[mono_exp(mo, "x")] += Fraction(c)
     for mo, c in g.terms.items():
-        ag[dict(mo).get("x", 0)] += Fraction(c)
+        ag[mono_exp(mo, "x")] += Fraction(c)
     return af, ag
 
 

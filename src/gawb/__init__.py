@@ -11,9 +11,6 @@ from .quotient import (
     RationalPoint,
     RingElement,
     SmoothnessVerdict,
-    equals_mod,
-    evaluate,
-    normal_form,
     sample_point,
     smoothness_check,
     unit_ideal_test,
@@ -46,9 +43,6 @@ __all__ = [
     "RationalPoint",
     "RingElement",
     "SmoothnessVerdict",
-    "equals_mod",
-    "evaluate",
-    "normal_form",
     "sample_point",
     "smoothness_check",
     "unit_ideal_test",

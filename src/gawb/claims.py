@@ -167,6 +167,13 @@ def _identity_with_points(
     return symbolic, zeros, agree
 
 
+def _verdict(expected: str, ok_text: str, bad: list, bad_label: str = "failures") -> Outcome:
+    """Pass when no case went wrong; otherwise fail, listing the bad cases."""
+    if bad:
+        return expected, f"{bad_label} {bad}", FAIL, ""
+    return expected, ok_text, PASS, ""
+
+
 def _residual_outcome(
     pres, diff: RingElement, cfg: RunConfig, salt: int, expected: str
 ) -> Outcome:
@@ -197,9 +204,7 @@ def _c_derivation_descends(cfg: RunConfig) -> Outcome:
         pres, d = catalog.xmn(m, n)
         if not descends_to_quotient(d):
             bad.append((m, n))
-    if bad:
-        return "descends on the whole grid", f"fails at {bad}", FAIL, ""
-    return "descends on the whole grid", "descends for all m, n <= 3", PASS, ""
+    return _verdict("descends on the whole grid", "descends for all m, n <= 3", bad, "fails at")
 
 
 def _c_relation_invariant(cfg: RunConfig) -> Outcome:
@@ -209,13 +214,7 @@ def _c_relation_invariant(cfg: RunConfig) -> Outcome:
         lhs = d.apply(parse_poly(f"x^{m}*v - y^{n}*u", pres.variables))
         if not lhs.is_zero():
             bad.append((m, n))
-    status = PASS if not bad else FAIL
-    return (
-        "delta(x^m v - y^n u) = 0",
-        "vanishes for all m, n <= 3" if not bad else f"nonzero at {bad}",
-        status,
-        "",
-    )
+    return _verdict("delta(x^m v - y^n u) = 0", "vanishes for all m, n <= 3", bad, "nonzero at")
 
 
 def _c_nilpotency_indices(cfg: RunConfig) -> Outcome:
@@ -226,13 +225,7 @@ def _c_nilpotency_indices(cfg: RunConfig) -> Outcome:
         cert = nilpotency_certificate(d, bound=cfg.nilpotency_bound)
         if cert.indices != expected:
             bad.append((m, n, cert.indices))
-    status = PASS if not bad else FAIL
-    return (
-        "indices u:2 v:2 x:1 y:1",
-        "indices match on the whole grid" if not bad else f"mismatch {bad}",
-        status,
-        "",
-    )
+    return _verdict("indices u:2 v:2 x:1 y:1", "indices match on the whole grid", bad, "mismatch")
 
 
 def _c_exponential_formula(cfg: RunConfig) -> Outcome:
@@ -250,12 +243,11 @@ def _c_exponential_formula(cfg: RunConfig) -> Outcome:
         }
         if any(act.images[g] != want[g] for g in pres.variables):
             bad.append((m, n))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "exp(t delta) = (x, y, u + t x^m, v + t y^n)",
-        "exact match on the whole grid" if not bad else f"mismatch at {bad}",
-        status,
-        "",
+        "exact match on the whole grid",
+        bad,
+        "mismatch at",
     )
 
 
@@ -271,12 +263,11 @@ def _c_kernel_xy(cfg: RunConfig) -> Outcome:
         )
         if not ok:
             bad.append((m, n))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "x, y generate the invariants; u, v are not invariant",
-        "kernel membership as expected on the grid" if not bad else f"mismatch {bad}",
-        status,
-        "",
+        "kernel membership as expected on the grid",
+        bad,
+        "mismatch",
     )
 
 
@@ -290,43 +281,24 @@ def _c_slice_localized(cfg: RunConfig) -> Outcome:
             bad.append((m, n))
         if is_slice(catalog.xmn(m, n)[1], "u"):
             bad.append((m, n, "unlocalized u is not a slice"))
-    status = PASS if not bad else FAIL
-    return (
-        "u / x^m is a slice after inverting x",
-        "slice found on every chart" if not bad else f"failures {bad}",
-        status,
-        "",
-    )
+    return _verdict("u / x^m is a slice after inverting x", "slice found on every chart", bad)
+
+
+def _action_axioms(action_of: Callable, law: GroupLaw, expected: str) -> Outcome:
+    bad = []
+    for m, n in _grid():
+        rep = verify_action(action_of(m, n), law)
+        if not rep.passed:
+            bad.append((m, n, [c.name for c in rep.failures()]))
+    return _verdict(expected, "identity, relations, composition verified", bad)
 
 
 def _c_ga_action_axioms(cfg: RunConfig) -> Outcome:
-    bad = []
-    for m, n in _grid():
-        rep = verify_action(catalog.ga_action(m, n), GroupLaw.additive())
-        if not rep.passed:
-            bad.append((m, n, [c.name for c in rep.failures()]))
-    status = PASS if not bad else FAIL
-    return (
-        "additive action axioms hold",
-        "identity, relations, composition verified" if not bad else f"failures {bad}",
-        status,
-        "",
-    )
+    return _action_axioms(catalog.ga_action, GroupLaw.additive(), "additive action axioms hold")
 
 
 def _c_gm_action_axioms(cfg: RunConfig) -> Outcome:
-    bad = []
-    for m, n in _grid():
-        rep = verify_action(catalog.gm_action(m, n), GroupLaw.multiplicative())
-        if not rep.passed:
-            bad.append((m, n, [c.name for c in rep.failures()]))
-    status = PASS if not bad else FAIL
-    return (
-        "scaling action axioms hold",
-        "identity, relations, composition verified" if not bad else f"failures {bad}",
-        status,
-        "",
-    )
+    return _action_axioms(catalog.gm_action, GroupLaw.multiplicative(), "scaling action axioms hold")
 
 
 def _c_gd_twist(cfg: RunConfig) -> Outcome:
@@ -335,13 +307,7 @@ def _c_gd_twist(cfg: RunConfig) -> Outcome:
         rep = verify_action(catalog.gd_action(m, n), GroupLaw.semidirect(m + n))
         if not rep.passed:
             bad.append((m, n, {c.name: c.residuals for c in rep.failures()}))
-    status = PASS if not bad else FAIL
-    return (
-        "semidirect axioms including the twist identity",
-        "all checks pass on the grid" if not bad else f"failures {bad}",
-        status,
-        "",
-    )
+    return _verdict("semidirect axioms including the twist identity", "all checks pass on the grid", bad)
 
 
 def _c_gd_group_law(cfg: RunConfig) -> Outcome:
@@ -361,12 +327,8 @@ def _c_gd_group_law(cfg: RunConfig) -> Outcome:
         ident = p1bundles.gd_multiply(p1bundles.gd_identity(d), g[1])
         if not (ident.lam == g[1].lam and ident.t == g[1].t):
             bad.append((d, "identity"))
-    status = PASS if not bad else FAIL
-    return (
-        "group axioms for d <= 6, symbolically",
-        "associativity, identity, inverses verified" if not bad else f"failures {bad}",
-        status,
-        "",
+    return _verdict(
+        "group axioms for d <= 6, symbolically", "associativity, identity, inverses verified", bad
     )
 
 
@@ -380,12 +342,8 @@ def _c_cocycle_basis(cfg: RunConfig) -> Outcome:
         ok, _ = cech.is_coboundary(g)
         if ok:
             bad.append((m, n, "basis cocycle reported trivial"))
-    status = PASS if not bad else FAIL
-    return (
-        "x^-m y^-n are nontrivial basis classes",
-        "classes {(m,n): 1}, all nontrivial" if not bad else f"failures {bad}",
-        status,
-        "",
+    return _verdict(
+        "x^-m y^-n are nontrivial basis classes", "classes {(m,n): 1}, all nontrivial", bad
     )
 
 
@@ -399,12 +357,10 @@ def _c_action_cocycle(cfg: RunConfig) -> Outcome:
             bad.append((m, n, None if cls is None else cls.as_dict()))
         if not rep.invariant:
             bad.append((m, n, "difference not delta-invariant"))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "u/x^m - v/y^n has class -x^-m y^-n",
-        "computed class {(m,n): -1} with certified unit ideal" if not bad else f"failures {bad}",
-        status,
-        "",
+        "computed class {(m,n): -1} with certified unit ideal",
+        bad,
     )
 
 
@@ -414,14 +370,10 @@ def _c_trivialization(cfg: RunConfig) -> Outcome:
         rep = p1bundles.verify_trivialization(m, n, points=cfg.points, seed=cfg.seed)
         if not rep.passed:
             bad.append((m, n))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "L2 = u1 L1 and T2 = u1^m + u1^d T1, with invariances",
-        f"verified symbolically and at {cfg.points} points per case"
-        if not bad
-        else f"failures {bad}",
-        status,
-        "",
+        f"verified symbolically and at {cfg.points} points per case",
+        bad,
     )
 
 
@@ -434,25 +386,19 @@ def _c_sdm_transition(cfg: RunConfig) -> Outcome:
     tc = p1bundles.torsor_class(p1bundles.sdm_from_mn(2, 2).torsor)
     if tc.coefficients != (0, 1, 0):
         bad.append(("class of S_{4,2}", tc.coefficients))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "d = m + n, translation part u^m",
-        "transition (uL, u^d T + u^m) reproduced; S_{4,2} class (0,1,0)"
-        if not bad
-        else f"failures {bad}",
-        status,
-        "",
+        "transition (uL, u^d T + u^m) reproduced; S_{4,2} class (0,1,0)",
+        bad,
     )
 
 
 def _c_generator_involution(cfg: RunConfig) -> Outcome:
     bad = [(m, n) for m, n in _grid() if not p1bundles.generator_involution_check(m, n)]
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "fiber inversion carries the opposite-generator bundle to the original",
-        "checked on the grid" if not bad else f"failures {bad}",
-        status,
-        "",
+        "checked on the grid",
+        bad,
     )
 
 
@@ -465,12 +411,10 @@ def _c_splitting_grid(cfg: RunConfig) -> Outcome:
             h = p1bundles.splitting_by_h0_scan(M)
             if b != h or (b.a1, b.a2) != (-n, -m) or b.hirzebruch_index != m - n:
                 bad.append((m, n, (b.a1, b.a2), (h.a1, h.a2)))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "splitting (-n, -m) by factorization and by h0 scan; index 2m - d",
-        "both methods agree on the whole grid" if not bad else f"failures {bad}",
-        status,
-        "",
+        "both methods agree on the whole grid",
+        bad,
     )
 
 
@@ -515,14 +459,10 @@ def _c_lemma_j_equals_m_section(cfg: RunConfig) -> Outcome:
             dim = p1bundles.h0_twist(p1bundles.transition_matrix(m, n), m)[0]
             if h1 != want_h1 or h2 != want_h2 or dim < 1:
                 bad.append((m, n))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "g = (0,1), h = (1, u^-m) is a section at twist m",
-        "explicit section verified; h0(E(m)) >= 1 on the grid"
-        if not bad
-        else f"failures {bad}",
-        status,
-        "",
+        "explicit section verified; h0(E(m)) >= 1 on the grid",
+        bad,
     )
 
 
@@ -576,13 +516,7 @@ def _c_theorem_self_intersection(cfg: RunConfig) -> Outcome:
             c = surfaces.hirzebruch(m - n).divisor(1, 0)
             if surfaces.self_intersection(c) != (m + n) - 2 * m:
                 bad.append((m, n, "special section square"))
-    status = PASS if not bad else FAIL
-    return (
-        "(C + mF)^2 = d and C^2 = d - 2m on F_(2m-d)",
-        "holds for 1 <= n <= m <= 5" if not bad else f"failures {bad}",
-        status,
-        "",
-    )
+    return _verdict("(C + mF)^2 = d and C^2 = d - 2m on F_(2m-d)", "holds for 1 <= n <= m <= 5", bad)
 
 
 def _c_scroll_delta(cfg: RunConfig) -> Outcome:
@@ -594,13 +528,7 @@ def _c_scroll_delta(cfg: RunConfig) -> Outcome:
                 bad.append((m, n, "C_v . C_u"))
             if surfaces.self_intersection(surfaces.delta_class(s)) != m + n:
                 bad.append((m, n, "delta square"))
-    status = PASS if not bad else FAIL
-    return (
-        "C_v . C_u = 0 and boundary square m + n",
-        "holds for 1 <= n <= m <= 5" if not bad else f"failures {bad}",
-        status,
-        "",
-    )
+    return _verdict("C_v . C_u = 0 and boundary square m + n", "holds for 1 <= n <= m <= 5", bad)
 
 
 def _c_three_way_consistency(cfg: RunConfig) -> Outcome:
@@ -612,12 +540,10 @@ def _c_three_way_consistency(cfg: RunConfig) -> Outcome:
             idx = p1bundles.birkhoff_split(p1bundles.transition_matrix(m, n)).splitting.hirzebruch_index
             if not (sq1 == sq2 == m + n and idx == m - n):
                 bad.append((m, n))
-    status = PASS if not bad else FAIL
-    return (
+    return _verdict(
         "boundary squares agree and the splitting index is m - n",
-        "three independent computations agree for n <= m <= 6" if not bad else f"failures {bad}",
-        status,
-        "",
+        "three independent computations agree for n <= m <= 6",
+        bad,
     )
 
 
@@ -741,13 +667,7 @@ def _c_zmnk_family(cfg: RunConfig) -> Outcome:
         details.append(f"Z({m},{n},{k}): {rep.verdict.value}")
         if not desc or rep.verdict.value != "SmoothOffPuncture":
             bad.append((m, n, k, desc, rep.verdict.value))
-    status = PASS if not bad else FAIL
-    return (
-        "derivation descends; smooth away from the puncture",
-        "; ".join(details) if not bad else f"failures {bad}",
-        status,
-        "",
-    )
+    return _verdict("derivation descends; smooth away from the puncture", "; ".join(details), bad)
 
 
 # -- the worked X_{2,2} example -------------------------------------------------

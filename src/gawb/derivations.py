@@ -296,11 +296,17 @@ class ActionReport:
         return [c for c in self.checks if not c.passed]
 
 
+def residual(lhs: RingElement, rhs: RingElement) -> str:
+    """The rendered difference lhs - rhs, or "" when the two are equal."""
+    return "" if lhs == rhs else (lhs - rhs).render()
+
+
 def _residuals(pairs: Mapping[str, Tuple[RingElement, RingElement]]) -> Dict[str, str]:
     out = {}
     for g, (lhs, rhs) in pairs.items():
-        if lhs != rhs:
-            out[g] = (lhs - rhs).render()
+        r = residual(lhs, rhs)
+        if r:
+            out[g] = r
     return out
 
 

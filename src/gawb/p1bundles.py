@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import catalog
-from .derivations import exponential
+from .derivations import exponential, residual
 from .linalg import kernel_basis
 from .parse import parse_poly
 from .poly import Coeff, Poly, invert_coeff, mono, mono_exp, render_poly
@@ -106,6 +106,8 @@ class TorsorTransition:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be a positive integer")
+        if self.phi.variables() - {U}:
+            raise ValueError("phi must be a Laurent polynomial in u")
 
 
 @dataclass(frozen=True)
@@ -532,34 +534,27 @@ def verify_trivialization(m: int, n: int, points: int = 20, seed: int = 0) -> Tr
     ch = catalog.trivialization_charts(m, n)
     ring = ch.ring
 
-    ident: Dict[str, str] = {}
     lhs = ch.L2
     rhs = ch.u1 * ch.L1
-    ident["L2 = u1*L1"] = "" if lhs == rhs else (lhs - rhs).render()
     rhs_t = ch.u1 ** m + ch.u1 ** d * ch.T1
-    ident["T2 = u1^m + u1^d*T1"] = "" if ch.T2 == rhs_t else (ch.T2 - rhs_t).render()
+    ident = {
+        "L2 = u1*L1": residual(lhs, rhs),
+        "T2 = u1^m + u1^d*T1": residual(ch.T2, rhs_t),
+    }
 
     inv: Dict[str, str] = {}
     deriv = catalog.translation_derivation(ring, m, n)
     ga = exponential(deriv, "t")
     gm = catalog.gm_action(m, n, pres=ring)
     tvar = ga.ring.var("t")
-    for name, elem, L in (("1", ch.u1, ch.L1), ("2", ch.u2, ch.L2)):
-        got = ga.apply_to(elem)
-        want = ga.ring.lift(elem)
-        inv[f"exp(t d) fixes u{name}"] = "" if got == want else (got - want).render()
-        got = gm.apply_to(elem)
-        want = gm.ring.lift(elem)
-        inv[f"scaling fixes u{name}"] = "" if got == want else (got - want).render()
+    for name, elem in (("1", ch.u1), ("2", ch.u2)):
+        inv[f"exp(t d) fixes u{name}"] = residual(ga.apply_to(elem), ga.ring.lift(elem))
+        inv[f"scaling fixes u{name}"] = residual(gm.apply_to(elem), gm.ring.lift(elem))
     for name, T, L in (("1", ch.T1, ch.L1), ("2", ch.T2, ch.L2)):
-        got = gm.apply_to(T)
-        want = gm.ring.lift(T)
-        inv[f"scaling fixes T{name}"] = "" if got == want else (got - want).render()
+        inv[f"scaling fixes T{name}"] = residual(gm.apply_to(T), gm.ring.lift(T))
         got = ga.apply_to(T)
         want = ga.ring.lift(T) + tvar * ga.ring.lift(L) ** d
-        inv[f"exp(t d) translates T{name} by t*L{name}^{d}"] = (
-            "" if got == want else (got - want).render()
-        )
+        inv[f"exp(t d) translates T{name} by t*L{name}^{d}"] = residual(got, want)
 
     failures = 0
     diff1 = lhs - rhs

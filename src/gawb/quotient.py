@@ -313,10 +313,7 @@ class RingElement:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("RingElement power must be a nonnegative integer")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return self.ring._make(self.numer ** k, tuple(k * a for a in self.denom))
 
     def __eq__(self, other) -> bool:
         """Mathematical equality modulo relations (cross-multiplied)."""
@@ -410,15 +407,6 @@ class RingElement:
 
     def __repr__(self):
         return f"RingElement({self.render()!r})"
-
-
-def normal_form(e: RingElement) -> RingElement:
-    """Canonical representative (the constructor already reduces; idempotent)."""
-    return e.ring._make(e.numer, e.denom)
-
-
-def equals_mod(e1: RingElement, e2: RingElement) -> bool:
-    return e1 == e2
 
 
 @dataclass(frozen=True)
@@ -589,7 +577,3 @@ def sample_point(pres: AlgebraPresentation, seed: int, rejection_budget: int = 2
         except ValueError:
             continue
     raise SamplingError(f"rejection budget of {rejection_budget} exceeded")
-
-
-def evaluate(e: RingElement, pt: RationalPoint) -> Fraction:
-    return e.evaluate(pt)

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from gawb import claims
 from gawb.claims import CLAIMS, DISCREPANCY, FAIL, PASS, RunConfig, run_claims
 from gawb.cli import main
+from gawb.derivations import ActionCheck, ActionReport, Derivation, GroupLaw, exponential
+from gawb.parse import parse_poly
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +116,83 @@ def test_table_rendering(report):
     table = report.to_table()
     assert "CLAIM" in table and "STATUS" in table
     assert all(r.claim_id in table for r in report.records)
+
+
+GRID = [(m, n) for m in range(1, 4) for n in range(1, 4)]
+
+
+def _failing_report(residuals):
+    return ActionReport(GroupLaw.additive(), [ActionCheck("identity", False, residuals)])
+
+
+class _WrongIndices:
+    indices = {"x": 1}
+
+
+@pytest.mark.parametrize(
+    "claim_id, attr, fake, actual",
+    [
+        (
+            "xmn-derivation-descends",
+            "descends_to_quotient",
+            lambda d: False,
+            f"fails at {GRID}",
+        ),
+        (
+            "xmn-relation-invariant",
+            "parse_poly",
+            lambda text, variables: parse_poly("u", variables),
+            f"nonzero at {GRID}",
+        ),
+        (
+            "xmn-nilpotency-indices",
+            "nilpotency_certificate",
+            lambda d, bound: _WrongIndices(),
+            f"mismatch {[(m, n, {'x': 1}) for m, n in GRID]}",
+        ),
+        (
+            "xmn-exponential-formula",
+            "exponential",
+            lambda d, t: exponential(Derivation(d.ring, {v: 0 for v in d.ring.variables}), t),
+            f"mismatch at {GRID}",
+        ),
+        (
+            "xmn-kernel-xy",
+            "kernel_member",
+            lambda d, e: True,
+            f"mismatch {GRID}",
+        ),
+        (
+            "xmn-slice-localized",
+            "is_slice",
+            lambda d, s: False,
+            f"failures {GRID}",
+        ),
+        (
+            "xmn-ga-action-axioms",
+            "verify_action",
+            lambda action, law: _failing_report({"u": "t"}),
+            f"failures {[(m, n, ['identity']) for m, n in GRID]}",
+        ),
+        (
+            "xmn-gm-action-axioms",
+            "verify_action",
+            lambda action, law: _failing_report({"u": "t"}),
+            f"failures {[(m, n, ['identity']) for m, n in GRID]}",
+        ),
+        (
+            "xmn-gd-twist",
+            "verify_action",
+            lambda action, law: _failing_report({"u": "t"}),
+            f"failures {[(m, n, {'identity': {'u': 't'}}) for m, n in GRID]}",
+        ),
+    ],
+)
+def test_grid_claim_fail_branch(monkeypatch, claim_id, attr, fake, actual):
+    """A grid claim whose check goes wrong on every case fails, and its
+    actual text lists the bad cases under the claim's own label."""
+    monkeypatch.setattr(claims, attr, fake)
+    (rec,) = run_claims(RunConfig(seed=0), only=[claim_id]).records
+    assert rec.status == FAIL
+    assert rec.actual == actual
+    assert rec.notes == ""

@@ -61,6 +61,17 @@ def test_torsor_class_extraction():
     assert torsor_class(TorsorTransition(2, u_poly("u"))).coefficients == (1,)
 
 
+def test_torsor_transition_rejects_variables_other_than_u():
+    """A phi with x in it has no class in H^1(P^1, O(-d)); torsor_class would
+    otherwise drop the x terms and report (0,)."""
+    phi = Poly.monomial(mono(u=1, x=1)) + Poly.monomial(mono(u=3, x=1))
+    with pytest.raises(ValueError, match="Laurent polynomial in u"):
+        TorsorTransition(2, phi)
+    with pytest.raises(ValueError):
+        TorsorTransition(2, Poly.variable("x"))
+    assert TorsorTransition(2, u_poly("u^-1 + 2")).phi == u_poly("u^-1 + 2")
+
+
 def test_torsor_witness_reconstruction():
     tt = TorsorTransition(4, u_poly("3 + u^-2 + 5*u^4 + u^6"))
     assert torsor_class(tt).is_trivial()

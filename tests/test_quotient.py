@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -59,6 +62,41 @@ def test_localization_bookkeeping():
     assert f.denom == (2, 2)
     with pytest.raises(NotAUnitError):
         loc.element("v*u^-1")
+
+
+def _pow_by_multiplying(e, k):
+    """The reference power: k reducing multiplications, starting from 1."""
+    out = e.ring.one()
+    for _ in range(k):
+        out = out * e
+    return out
+
+
+def _random_element(rng, pres, inverted):
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        c = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+        exps = {v: rng.randint(-2 if v in inverted else 0, 2) for v in ("x", "y", "u", "v")}
+        terms.append(f"({c})*" + "*".join(f"{v}^{e}" for v, e in exps.items()))
+    return pres.element(" + ".join(terms) or "0")
+
+
+@pytest.mark.parametrize("inverted", [(), ("x", "y")])
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+def test_power_matches_repeated_multiplication(m, n, inverted):
+    """One reduction of numer^k gives the same normal form, term for term and
+    in the same order, as k reducing multiplications.  A coefficient may be
+    an int on one side and an integral Fraction on the other; the values and
+    the rendered text agree."""
+    rng = random.Random(100 * m + 10 * n + len(inverted))
+    pres = catalog.xmn_presentation(m, n, inverted=list(inverted))
+    for _ in range(4):
+        e = _random_element(rng, pres, inverted)
+        for k in range(7):
+            got, want = e ** k, _pow_by_multiplying(e, k)
+            assert list(got.numer.terms.items()) == list(want.numer.terms.items())
+            assert got.denom == want.denom
+            assert got.render() == want.render()
 
 
 def test_unit_ideal_certificate(x22):

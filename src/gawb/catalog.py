@@ -82,7 +82,7 @@ def gm_action(m: int, n: int, lam: str = "lam", pres: Optional[AlgebraPresentati
     for w in base.variables:
         if w not in images:
             images[w] = ring.var(w)
-    return ActionMap(base, [lam], images, unit_params=[lam], ring=ring)
+    return ActionMap(base, ring, images)
 
 
 def gd_action(m: int, n: int, lam: str = "lam", t: str = "t") -> ActionMap:
@@ -92,7 +92,7 @@ def gd_action(m: int, n: int, lam: str = "lam", t: str = "t") -> ActionMap:
     e = exponential(d, t).transport(ring)
     s = gm_action(m, n, lam, pres=base).transport(ring)
     images = compose_actions(e, s)
-    return ActionMap(base, [lam, t], images, unit_params=[lam], ring=ring)
+    return ActionMap(base, ring, images)
 
 
 @dataclass(frozen=True)

@@ -216,74 +216,51 @@ def _hypersurface_relation(m: int, n: int, p: Poly, fiber: str) -> Poly:
     return Poly(neg)
 
 
-def _split_y(p: Poly) -> Tuple[int, Poly]:
-    """p = y^b * p' with p' having a nonzero y-free part; returns (b, p')."""
-    b = p.exponent_range("y")[0]
-    if b == 0:
-        return 0, p
-    return b, p.mul_monomial(mono(y=-b))
-
-
 def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
-    """Run the Case 1 / Case 2 transform recursion for X(m, n, p).
+    """Run the Case 1 / Case 2 transform for X(m, n, p).
 
-    Case 2 strips the full power y^b from p (replacing the fiber coordinate v
-    by w = v / y^b and n by n - b); Case 1 writes the y-free part of p as
-    x^a q0 with q0(0) != 0 and terminates with the unit certificate, recording
-    the transform witness (x^(m-a) * fiber - q0) / y together with its
-    witness power a, the least k such that witness * x^k lies in the
+    Case 2 applies when p has no y-free term: it strips the full power y^b
+    from p (replacing the fiber coordinate v by w = v / y^b and n by n - b).
+    The stripped p has a y-free term, so Case 1 follows at once and a trace
+    is [Case 1] or [Case 2, Case 1].  Case 1 writes the y-free part of p as
+    x^a q0 with q0(0) != 0 and terminates with the unit certificate,
+    recording the transform witness (x^(m-a) * fiber - q0) / y together with
+    its witness power a, the least k such that witness * x^k lies in the
     coordinate ring (certified by ``_check_case1_witness``).
     """
     m, n, p = nf.m, nf.n, nf.p
-
-    p00 = p.coeff_of(ONE_MONO)
-    if p00 != 0:
+    if p.coeff_of(ONE_MONO) != 0:
         return AffinenessCertificate(m, n, p, (), "HypersurfaceInA4")
 
     trace: List[Union[Case1Step, Case2Step]] = []
-    fiber = "v"
-    cur_n, cur_p = n, p
-    max_steps = p.degree_in("y") + 1
-    fresh = 0
-
-    while True:
-        if len(trace) >= max_steps:
-            raise CertificateError("recursion exceeded its termination bound")
-        p0 = cur_p.select("y", 0, 0)
-        if p0.is_zero():
-            # Case 2: strip y^b
-            b, new_p = _split_y(cur_p)
-            if b < 1 or b >= cur_n:
-                raise CertificateError("invalid Case 2 shape")
-            new_fiber = "w" if fresh == 0 else f"w{fresh}"
-            fresh += 1
-            cur_n -= b
-            cur_p = new_p
-            relation = _hypersurface_relation(m, cur_n, cur_p, new_fiber)
-            trace.append(
-                Case2Step(
-                    b=b, new_n=cur_n, new_p=cur_p,
-                    old_fiber_var=fiber, new_fiber_var=new_fiber,
-                    relation=relation,
-                )
-            )
-            fiber = new_fiber
-            continue
-        # Case 1: p0 = x^a q0, q0(0) != 0
-        a = p0.exponent_range("x")[0]
-        q0 = p0.mul_monomial(mono(x=-a)) if a else p0
-        if q0.coeff_of(ONE_MONO) == 0:
-            raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
-        relation = _hypersurface_relation(m, cur_n, cur_p, fiber)
-        witness = Poly.monomial(mono_from_map({"x": m - a, fiber: 1})) - q0
-        _check_case1_witness(witness, a, m, relation, fiber)
+    fiber, cur_n, cur_p = "v", n, p
+    if cur_p.select("y", 0, 0).is_zero():
+        # Case 2: strip y^b (b < n because deg_y p < n)
+        b = p.exponent_range("y")[0]
+        fiber, cur_n, cur_p = "w", n - b, p.mul_monomial(mono(y=-b))
         trace.append(
-            Case1Step(
-                a=a, q0=q0, fiber_var=fiber, relation=relation,
-                witness_numer=witness, witness_power=a,
+            Case2Step(
+                b=b, new_n=cur_n, new_p=cur_p,
+                old_fiber_var="v", new_fiber_var=fiber,
+                relation=_hypersurface_relation(m, cur_n, cur_p, fiber),
             )
         )
-        return AffinenessCertificate(m, n, p, tuple(trace), "UnitCertificate", q0=q0)
+    # Case 1: p0 = x^a q0, q0(0) != 0
+    p0 = cur_p.select("y", 0, 0)
+    a = p0.exponent_range("x")[0]
+    q0 = p0.mul_monomial(mono(x=-a)) if a else p0
+    if q0.coeff_of(ONE_MONO) == 0:
+        raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
+    relation = _hypersurface_relation(m, cur_n, cur_p, fiber)
+    witness = Poly.monomial(mono_from_map({"x": m - a, fiber: 1})) - q0
+    _check_case1_witness(witness, a, m, relation, fiber)
+    trace.append(
+        Case1Step(
+            a=a, q0=q0, fiber_var=fiber, relation=relation,
+            witness_numer=witness, witness_power=a,
+        )
+    )
+    return AffinenessCertificate(m, n, p, tuple(trace), "UnitCertificate", q0=q0)
 
 
 def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: str) -> None:
@@ -371,7 +348,7 @@ def action_cocycle(
     certified.  Each pairwise difference is checked to be a delta-invariant of
     the doubly localized ring.
     """
-    elems = [pres.element(a) if not isinstance(a, RingElement) else pres.lift(a) for a in a_list]
+    elems = [pres.element(a) for a in a_list]
     deltas = [d.apply(e).simplified() for e in elems]
     for i, de in enumerate(deltas):
         if de.is_zero():
@@ -386,7 +363,7 @@ def action_cocycle(
             "the delta(a_i) do not generate the unit ideal; this witness set "
             "does not certify local triviality"
         )
-    localized = pres.with_inverted([de.numer for de in deltas])
+    localized = pres.extend((), [de.numer for de in deltas])
     dloc = Derivation(localized, {v: localized.lift(img) for v, img in d.images.items()})
     fractions = []
     for e, de in zip(elems, deltas):

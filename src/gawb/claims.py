@@ -45,7 +45,6 @@ DISCREPANCY = "discrepancy-documented"
 @dataclass
 class RunConfig:
     seed: int = 0
-    groebner_budget: int = 20_000
     nilpotency_bound: int = 64
     power_bound: int = 12
     points: int = 20
@@ -548,37 +547,41 @@ def _c_three_way_consistency(cfg: RunConfig) -> Outcome:
 
 
 def _c_classify_theorem(cfg: RunConfig) -> Outcome:
-    checks = [
-        surfaces.classify_xmn(2, 2, 3, 1).verdict == "IsomorphicByTheorem",
-        surfaces.classify_xmn(2, 1, 1, 2).verdict == "IsomorphicByTheorem",
-        surfaces.classify_xmn(2, 2, 2, 1).verdict == "Inconclusive",
+    cases = [
+        ((2, 2, 3, 1), "IsomorphicByTheorem"),
+        ((2, 1, 1, 2), "IsomorphicByTheorem"),
+        ((2, 2, 2, 1), "Inconclusive"),
     ]
-    status = PASS if all(checks) else FAIL
-    return (
+    bad = []
+    for args, want in cases:
+        got = surfaces.classify_xmn(*args).verdict
+        if got != want:
+            bad.append((*args, got))
+    return _verdict(
         "equal d gives isomorphy; no converse claimed",
         "X_{2,2} ~ X_{3,1}; swap symmetry; unequal d inconclusive",
-        status,
-        "",
+        bad,
+        "mismatch",
     )
 
 
 def _c_xfg_classification(cfg: RunConfig) -> Outcome:
+    bad = []
     r = surfaces.classify_xfg(parse_poly("x^2 + y^2"), parse_poly("y^3"))
-    ok = (r.m, r.n) == (2, 3) and r.resultant_nonzero and r.delta_square == 5
-    rpow = surfaces.classify_xfg(parse_poly("x^3"), parse_poly("y^2"))
-    ok = ok and (rpow.m, rpow.n) == (3, 2)
+    if (r.m, r.n, r.resultant_nonzero, r.delta_square) != (2, 3, True, 5):
+        bad.append(("x^2+y^2", "y^3", (r.m, r.n), r.resultant_nonzero, r.delta_square))
+    r = surfaces.classify_xfg(parse_poly("x^3"), parse_poly("y^2"))
+    if (r.m, r.n) != (3, 2):
+        bad.append(("x^3", "y^2", (r.m, r.n)))
     try:
         surfaces.classify_xfg(parse_poly("x*y"), parse_poly("x^2"))
-        ok = False
-        err = "no error raised"
-    except surfaces.CommonZeroError as e:
-        err = "common-zero diagnosis raised"
-    status = PASS if ok else FAIL
-    return (
+        bad.append(("x*y", "x^2", "no common-zero error"))
+    except surfaces.CommonZeroError:
+        pass
+    return _verdict(
         "X_{f,g} reduces to the pure-power model when V(f,g) = {0}",
-        f"(x^2+y^2, y^3) -> degrees (2,3), boundary square 5; {err}",
-        status,
-        "",
+        "(x^2+y^2, y^3) -> degrees (2,3), boundary square 5; common-zero diagnosis raised",
+        bad,
     )
 
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from . import __version__, cech, claims, p1bundles, surfaces
+from . import __version__, cech, claims, groebner, p1bundles, surfaces
 from .derivations import (
     Derivation,
     descends_to_quotient,
@@ -85,7 +85,7 @@ def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool):
                     default=d(bool(_env_default("JSON", 0))), help="emit JSON output")
     ap.add_argument("--seed", type=int, default=d(_env_default("SEED", 0)))
     ap.add_argument("--groebner-budget", type=_positive_int,
-                    default=d(_env_default("GROEBNER_BUDGET", 20_000, _positive_int)))
+                    default=d(_env_default("GROEBNER_BUDGET", groebner.DEFAULT_SPAIR_BUDGET, _positive_int)))
     ap.add_argument("--nilpotency-bound", type=_positive_int,
                     default=d(_env_default("NILPOTENCY_BOUND", 64, _positive_int)))
     ap.add_argument("--power-bound", type=_positive_int,
@@ -349,9 +349,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    if args.groebner_budget != groebner.DEFAULT_SPAIR_BUDGET:
+        raise UsageError(
+            "verify-paper runs every claim under the library Groebner budget of "
+            f"{groebner.DEFAULT_SPAIR_BUDGET}; --groebner-budget (GAWB_GROEBNER_BUDGET) "
+            "does not apply to it"
+        )
     cfg = claims.RunConfig(
         seed=args.seed,
-        groebner_budget=args.groebner_budget,
         nilpotency_bound=args.nilpotency_bound,
         power_bound=args.power_bound,
     )

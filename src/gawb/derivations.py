@@ -50,7 +50,7 @@ class Derivation:
         if extra:
             raise ValueError(f"images given for unknown variables {sorted(extra)}")
         for v, e in images.items():
-            self.images[v] = ring.element(e) if not isinstance(e, RingElement) else ring.lift(e)
+            self.images[v] = ring.element(e)
 
     def apply_poly(self, p: Poly) -> RingElement:
         out = self.ring.zero()
@@ -65,10 +65,7 @@ class Derivation:
 
     def apply(self, e: Union[RingElement, PolyLike]) -> RingElement:
         """Leibniz on the representative, quotient rule on the denominator."""
-        if not isinstance(e, RingElement):
-            e = self.ring.element(e)
-        else:
-            e = self.ring.lift(e)
+        e = self.ring.element(e)
         base = self.apply_poly(e.numer)
         if any(e.denom):
             inv_d = self.ring._make(Poly.const(1), e.denom)
@@ -144,78 +141,46 @@ def kernel_member(d: Derivation, e: Union[RingElement, PolyLike]) -> bool:
 
 
 class ActionMap:
-    """Substitution map over the base ring extended by group parameters.
+    """Substitution map from ``base`` into ``ring``, a parameter extension
+    of it.
 
-    ``unit_params`` are adjoined as invertible (Laurent) variables; images are
-    given for every base generator, and parameters map to themselves.
+    ``params`` are the variables ``ring`` adds to ``base``, in its order, and
+    ``unit_params`` those of them that ``ring`` inverts (Laurent variables).
+    Images are given for every base generator; parameters map to themselves.
+    Every re-expression of the map goes through ``RingElement.substitute``.
     """
 
     def __init__(
         self,
         base: AlgebraPresentation,
-        params: Sequence[str],
-        images: Mapping[str, RingElement],
-        unit_params: Sequence[str] = (),
-        ring: Optional[AlgebraPresentation] = None,
+        ring: AlgebraPresentation,
+        images: Mapping[str, Union[RingElement, PolyLike]],
     ):
         self.base = base
-        self.params = tuple(params)
-        self.unit_params = tuple(p for p in self.params if p in set(unit_params))
-        self.ring = ring if ring is not None else extend_with_params(
-            base, self.params, self.unit_params
-        )
-        self.images: Dict[str, RingElement] = {}
+        self.ring = ring
+        self.params = tuple(v for v in ring.variables if v not in base.variables)
+        self.unit_params = tuple(p for p in self.params if Poly.variable(p) in ring.inverted)
         missing = set(base.variables) - set(images)
         if missing:
             raise ValueError(f"no image for generators {sorted(missing)}")
-        for v in base.variables:
-            self.images[v] = self.ring.lift(images[v]) if isinstance(images[v], RingElement) else self.ring.element(images[v])
+        self.images: Dict[str, RingElement] = {v: ring.element(images[v]) for v in base.variables}
 
     def apply_to(self, e: Union[RingElement, PolyLike]) -> RingElement:
-        if not isinstance(e, RingElement):
-            e = self.ring.element(e)
-        else:
-            e = self.ring.lift(e)
-        return e.substitute(self.images)
+        return self.ring.element(e).substitute(self.images)
 
     def transport(self, ring2: AlgebraPresentation, rename: Optional[Mapping[str, str]] = None) -> "ActionMap":
-        """Re-express this map in another parameter extension of the same base."""
-        rename = dict(rename or {})
-        name_map = {p: rename.get(p, p) for p in self.params}
-        poly_map = {old: Poly.variable(new) for old, new in name_map.items() if old != new}
-        new_images: Dict[str, RingElement] = {}
-        for v, img in self.images.items():
-            numer = img.numer.substitute(poly_map) if poly_map else img.numer
-            elem = ring2.element(numer)
-            for f, a in zip(img.ring.inverted, img.denom):
-                if not a:
-                    continue
-                f2 = f.substitute(poly_map) if poly_map else f
-                elem = elem.divide_by_inverted(f2, a)
-            new_images[v] = elem
-        return ActionMap(
-            self.base,
-            [name_map[p] for p in self.params],
-            new_images,
-            unit_params=[name_map[p] for p in self.unit_params],
-            ring=ring2,
-        )
+        """Re-express this map in another parameter extension of the same
+        base, renaming parameters by ``rename``."""
+        rename = rename or {}
+        sub = {p: ring2.var(rename[p]) for p in self.params if p in rename}
+        return ActionMap(self.base, ring2, {v: img.substitute(sub, ring2) for v, img in self.images.items()})
 
     def specialize_params(self, values: Mapping[str, Union[int, Fraction]]) -> "ActionMap":
+        """Set parameters to constants; the rest stay, with their units."""
         remaining = [p for p in self.params if p not in values]
-        sub = {p: self.ring.element(Fraction(v)) for p, v in values.items()}
-        ring2 = extend_with_params(self.base, remaining, [p for p in self.unit_params if p in remaining])
-        images2: Dict[str, RingElement] = {}
-        for v, img in self.images.items():
-            spec = img.substitute(sub)
-            elem = ring2.element(spec.numer)
-            for f, a in zip(self.ring.inverted, spec.denom):
-                if not a:
-                    continue
-                elem = elem.divide_by_inverted(f, a)
-            images2[v] = elem
-        return ActionMap(self.base, remaining, images2,
-                         unit_params=[p for p in self.unit_params if p in remaining], ring=ring2)
+        ring2 = extend_with_params(self.base, remaining, self.unit_params)
+        sub = {p: Fraction(v) for p, v in values.items()}
+        return ActionMap(self.base, ring2, {v: img.substitute(sub, ring2) for v, img in self.images.items()})
 
     def is_identity(self) -> bool:
         return all(self.images[v] == self.ring.var(v) for v in self.base.variables)
@@ -247,7 +212,7 @@ def exponential(d: Derivation, t: str = "t", bound: int = 64) -> ActionMap:
             tk = tk * tvar
             total = total + ext.lift(term) * tk * Fraction(1, math.factorial(k))
         images[v] = total
-    return ActionMap(d.ring, [t], images)
+    return ActionMap(d.ring, ext, images)
 
 
 def compose_actions(first: "ActionMap", second: "ActionMap") -> Dict[str, RingElement]:
@@ -386,8 +351,7 @@ def verify_action(action: ActionMap, law: GroupLaw) -> ActionReport:
         e_twisted_images = {
             v: e_map.images[v].substitute({t_name: twisted_t}) for v in base.variables
         }
-        e_twisted = ActionMap(base, [lam_name, t_name], e_twisted_images,
-                              unit_params=[lam_name], ring=ring_twist)
+        e_twisted = ActionMap(base, ring_twist, e_twisted_images)
         rhs = compose_actions(s_map, e_twisted)  # scale, then twisted translate
         res = _residuals({v: (lhs[v], rhs[v]) for v in base.variables})
         checks.append(ActionCheck("twist-identity", not res, res))

@@ -182,21 +182,26 @@ class AlgebraPresentation:
         return e
 
     def substitute(self, p: Poly, images: Mapping[str, "RingElement"]) -> "RingElement":
-        """The element p(images): the images replace the variables of the raw
-        (unreduced) polynomial p, and a variable without an image stays."""
+        """The element p(images) of this ring: the images (elements of this
+        ring) replace the variables of the raw (unreduced, regular) polynomial
+        p, and a variable without an image stays, so it must be declared here.
+
+        Each term is reduced once: the product of its coefficient, its kept
+        variables and the images' numerators, over the sum of the images'
+        denominator exponents.  The terms are then added in p's order.
+        """
         out = self.zero()
         for m, c in p.terms.items():
-            acc = self.element(Poly.const(c))
-            residual: Dict[str, int] = {}
+            numer, denom, kept = Poly.const(c), (0,) * len(self.inverted), {}
             for v, e in mono_factors(m):
                 img = images.get(v)
                 if img is None:
-                    residual[v] = e
+                    kept[v] = e
                 else:
-                    acc = acc * img ** e
-            if residual:
-                acc = acc * self.element(Poly.monomial(mono_from_map(residual)))
-            out = out + acc
+                    numer = numer * img.numer ** e
+                    denom = tuple(a + e * b for a, b in zip(denom, img.denom))
+            kept_mono = self._parse(Poly.monomial(mono_from_map(kept)))
+            out = out + self._make(numer * kept_mono, denom)
         return out
 
     def denominator_poly(self, denom: Tuple[int, ...]) -> Poly:
@@ -209,32 +214,18 @@ class AlgebraPresentation:
     # -- structure maps -------------------------------------------------------
 
     def extend(
-        self,
-        extra_vars: Sequence[str],
-        extra_inverted: Sequence[PolyLike] = (),
-        extra_relations: Sequence[PolyLike] = (),
+        self, extra_vars: Sequence[str], extra_inverted: Sequence[PolyLike] = ()
     ) -> "AlgebraPresentation":
-        """Adjoin fresh variables (appended after the current priority list)."""
+        """Adjoin fresh variables, appended after the current priority list,
+        and invert further elements (given over the extended variables)."""
         overlap = set(extra_vars) & set(self.variables)
         if overlap:
             raise PresentationError(f"variables {sorted(overlap)} already present")
-        variables = self.variables + tuple(extra_vars)
-        order = TermOrder(self.order.kind, variables)
-        ext = AlgebraPresentation(
-            variables,
-            list(self.relations) + list(extra_relations),
-            list(self.inverted) + list(extra_inverted),
-            order=order,
-            groebner_budget=self.groebner_budget,
-        )
-        return ext
-
-    def with_inverted(self, extra_inverted: Sequence[PolyLike]) -> "AlgebraPresentation":
         return AlgebraPresentation(
-            self.variables,
+            self.variables + tuple(extra_vars),
             self.relations,
-            list(self.inverted) + list(extra_inverted),
-            order=self.order,
+            self.inverted + tuple(extra_inverted),
+            order=TermOrder(self.order.kind, self.order.variables + tuple(extra_vars)),
             groebner_budget=self.groebner_budget,
         )
 
@@ -365,19 +356,28 @@ class RingElement:
         numer = Poly.const(invert_coeff(c)) * self.ring.denominator_poly(self.denom)
         return self.ring._make(numer, tuple(denom))
 
-    def substitute(self, mapping: Mapping[str, "RingElement"]) -> "RingElement":
-        """Apply a substitution whose images live in this element's ring.
+    def substitute(
+        self,
+        mapping: Mapping[str, Union["RingElement", PolyLike]],
+        into: Optional[AlgebraPresentation] = None,
+    ) -> "RingElement":
+        """The ring map sending each variable in ``mapping`` to its image, an
+        element of ``into`` (this element's ring by default).
 
-        Variables absent from the mapping are kept.  Denominators are mapped
-        through and must substitute to invertible elements.
+        Every move of an element between presentations goes through here:
+        renaming or adjoining parameters, specialising them to constants,
+        composing actions.  Variables absent from the mapping are kept, so
+        they must be variables of ``into``.  The numerator maps through
+        ``into.substitute``; each inverted element f of this ring maps to
+        f(images), which must be a unit of ``into`` of the form
+        c * monomial in inverted variables, and its inverse multiplies in.
         """
-        ring = self.ring
-        out = ring.substitute(self.numer, {v: self._coerce(e) for v, e in mapping.items()})
-        for f, e in zip(ring.inverted, self.denom):
-            if not e:
-                continue
-            img_f = ring.element(f).substitute(mapping)
-            out = out * img_f.unit_inverse() ** e
+        into = self.ring if into is None else into
+        images = {v: into.element(e) for v, e in mapping.items()}
+        out = into.substitute(self.numer, images)
+        for f, e in zip(self.ring.inverted, self.denom):
+            if e:
+                out = out * into.substitute(f, images).unit_inverse() ** e
         return out
 
     def evaluate(self, point: "RationalPoint") -> Fraction:
@@ -435,7 +435,7 @@ def unit_ideal_test(
     """
     polys: List[Poly] = []
     for e in elements:
-        el = pres.element(e) if not isinstance(e, RingElement) else pres.lift(e)
+        el = pres.element(e)
         if not el.is_regular():
             raise ValueError("unit_ideal_test requires regular elements (no denominators)")
         polys.append(el.numer)

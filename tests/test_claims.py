@@ -1,9 +1,10 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from gawb import claims
+from gawb import claims, surfaces
 from gawb.claims import CLAIMS, DISCREPANCY, FAIL, PASS, RunConfig, run_claims
 from gawb.cli import main
 from gawb.derivations import ActionCheck, ActionReport, Derivation, GroupLaw, exponential
@@ -186,11 +187,27 @@ class _WrongIndices:
             lambda action, law: _failing_report({"u": "t"}),
             f"failures {[(m, n, {'identity': {'u': 't'}}) for m, n in GRID]}",
         ),
+        (
+            "classify-xmn-theorem",
+            "surfaces",
+            SimpleNamespace(classify_xmn=lambda m, n, p, q: SimpleNamespace(verdict="Wrong")),
+            f"mismatch {[(2, 2, 3, 1, 'Wrong'), (2, 1, 1, 2, 'Wrong'), (2, 2, 2, 1, 'Wrong')]}",
+        ),
+        (
+            "classify-xfg",
+            "surfaces",
+            SimpleNamespace(
+                classify_xfg=lambda f, g: SimpleNamespace(m=1, n=1, resultant_nonzero=False, delta_square=0),
+                CommonZeroError=surfaces.CommonZeroError,
+            ),
+            "failures "
+            f"{[('x^2+y^2', 'y^3', (1, 1), False, 0), ('x^3', 'y^2', (1, 1)), ('x*y', 'x^2', 'no common-zero error')]}",
+        ),
     ],
 )
 def test_grid_claim_fail_branch(monkeypatch, claim_id, attr, fake, actual):
-    """A grid claim whose check goes wrong on every case fails, and its
-    actual text lists the bad cases under the claim's own label."""
+    """A claim whose check goes wrong on every case fails, and its actual
+    text lists the bad cases under the claim's own label."""
     monkeypatch.setattr(claims, attr, fake)
     (rec,) = run_claims(RunConfig(seed=0), only=[claim_id]).records
     assert rec.status == FAIL

@@ -277,6 +277,32 @@ def test_groebner_budget_overrun(capsys):
     assert err.splitlines() == ["error: S-polynomial budget of 1 exceeded"]
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--groebner-budget", "1", "verify-paper"], None),
+    (["verify-paper", "--groebner-budget", "50000"], None),
+    (["verify-paper"], "1"),
+])
+def test_verify_paper_rejects_groebner_budget(capsys, monkeypatch, argv, env):
+    """The claim registry runs under the library Groebner budget, so a budget
+    that verify-paper would ignore is a usage error, as a flag or through
+    GAWB_GROEBNER_BUDGET."""
+    if env is not None:
+        monkeypatch.setenv("GAWB_GROEBNER_BUDGET", env)
+    code, out, err = run(capsys, *argv, "--only", "zmnk-family")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gawb: error:")
+    assert "library Groebner budget of 20000" in err
+
+
+def test_verify_paper_accepts_the_library_budget(capsys, monkeypatch):
+    monkeypatch.setenv("GAWB_GROEBNER_BUDGET", "20000")
+    code, out, _ = run(capsys, "--json", "--groebner-budget", "20000", "verify-paper",
+                       "--only", "zmnk-family")
+    assert code == 0
+    assert json.loads(out)["summary"]["pass"] == 1
+
+
 def test_nilpotency_bound_overrun(capsys):
     code, out, err = run(capsys, "--nilpotency-bound", "1", "lnd", "check",
                          "--presentation", PRES, "--derivation", DER)

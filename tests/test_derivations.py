@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from gawb import catalog
+from gawb import catalog, groebner
+from gawb.claims import PASS, RunConfig, run_claims
 from gawb.derivations import (
+    ActionMap,
     Derivation,
     GroupLaw,
     NotNilpotentWithinBound,
@@ -233,3 +236,158 @@ def test_substitute_matches_reference_walk():
                         if any(got.denom):
                             seen.add("denominator")
     assert seen == {"zero", "nonzero", "denominator"}
+
+
+def _reference_substitute(e, mapping):
+    """The reference ring map inside e's ring: the numerator through the
+    reference walk, and each inverted element as the substitution of its
+    normal form, inverted as a unit."""
+    ring = e.ring
+    out = _reference_apply_images(e.numer, mapping, ring)
+    for f, a in zip(ring.inverted, e.denom):
+        if a:
+            out = out * _reference_substitute(ring.element(f), mapping).unit_inverse() ** a
+    return out
+
+
+def _reference_transport(action, ring2, rename=None):
+    """The reference transport: rename the parameters in each image's
+    numerator, reduce it in ring2, and divide by the renamed inverted
+    elements one by one."""
+    poly_map = {p: Poly.variable(q) for p, q in (rename or {}).items() if p in action.params}
+    images = {}
+    for v, img in action.images.items():
+        elem = ring2.element(img.numer.substitute(poly_map) if poly_map else img.numer)
+        for f, a in zip(img.ring.inverted, img.denom):
+            if a:
+                elem = elem.divide_by_inverted(f.substitute(poly_map) if poly_map else f, a)
+        images[v] = elem
+    return images
+
+
+def _reference_specialize(action, values):
+    """The reference specialisation: substitute the constants inside the
+    action's ring, then rebuild each image in the smaller extension."""
+    remaining = [p for p in action.params if p not in values]
+    ring2 = extend_with_params(action.base, remaining, action.unit_params)
+    sub = {p: action.ring.element(Fraction(v)) for p, v in values.items()}
+    images = {}
+    for v, img in action.images.items():
+        spec = _reference_substitute(img, sub)
+        elem = ring2.element(spec.numer)
+        for f, a in zip(action.ring.inverted, spec.denom):
+            if a:
+                elem = elem.divide_by_inverted(f, a)
+        images[v] = elem
+    return images
+
+
+def _same_representation(got, want):
+    assert got.ring == want.ring
+    assert list(got.numer.terms.items()) == list(want.numer.terms.items())
+    assert got.denom == want.denom
+
+
+def _seeded_element(rng, ring):
+    e = ring.element(seeded_poly(rng, ring.variables, 3, 2, nonzero=True))
+    for f in ring.inverted:
+        e = e.divide_by_inverted(f, rng.randint(0, 2))
+    return e
+
+
+def _actions(base, m, n):
+    """The G_a, G_m and G_d maps over base, an xmn(m, n) presentation."""
+    ga = exponential(catalog.translation_derivation(base, m, n), "t")
+    gm = catalog.gm_action(m, n, pres=base)
+    ring = extend_with_params(base, ["lam", "t"], ["lam"])
+    gd = ActionMap(base, ring, compose_actions(ga.transport(ring), gm.transport(ring)))
+    return {"ga": ga, "gm": gm, "gd": gd}
+
+
+def test_one_ring_map_matches_references():
+    """RingElement.substitute, transport and specialize_params give the
+    reference chains' elements: the same numerator terms in the same
+    insertion order, and the same denominators.  Covered: seeded elements
+    over xmn(m, n) for m, n <= 3, with and without x and y inverted, under
+    the G_a, G_m and G_d maps, the group laws' parameter maps, renames, and
+    specialisations to 0, 1 and 3/2."""
+    rng = random.Random(1013)
+    seen = set()
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for inverted in ((), ("x", "y")):
+                base = catalog.xmn_presentation(m, n, inverted=inverted)
+                for name, action in _actions(base, m, n).items():
+                    ring = action.ring
+                    lam = ring.var("lam") if "lam" in ring.variables else None
+                    maps = [action.images]
+                    if "t" in ring.variables:
+                        maps.append({"t": ring.var("t") * 2 + ring.var("x")})
+                    if lam is not None:
+                        maps.append({"lam": lam ** 2 * Fraction(3, 2)})
+                        maps.append({"lam": lam.unit_inverse() * 5, "x": lam * ring.var("x") * 2})
+                    for _ in range(2):
+                        e = _seeded_element(rng, ring)
+                        for mapping in maps:
+                            _same_representation(e.substitute(mapping), _reference_substitute(e, mapping))
+                            if any(e.denom):
+                                seen.add("denominator")
+
+                    params2 = tuple(f"{p}_2" for p in action.params)
+                    units2 = tuple(f"{p}_2" for p in action.unit_params)
+                    ring2 = extend_with_params(base, action.params + params2, action.unit_params + units2)
+                    for rename in (None, dict(zip(action.params, params2))):
+                        got = action.transport(ring2, rename)
+                        want = _reference_transport(action, ring2, rename)
+                        assert got.ring is ring2 and got.params == action.params + params2
+                        for v in base.variables:
+                            _same_representation(got.images[v], want[v])
+                            if any(want[v].denom):
+                                seen.add("transport denominator")
+
+                    choices = []
+                    if "t" in action.params:
+                        choices += [{"t": 0}, {"t": 1}, {"t": Fraction(3, 2)}]
+                    if "lam" in action.params:
+                        choices += [{"lam": 1}, {"lam": Fraction(3, 2)}]
+                    if len(action.params) == 2:
+                        choices.append({"lam": 1, "t": 0})
+                    for values in choices:
+                        got = action.specialize_params(values)
+                        want = _reference_specialize(action, values)
+                        assert got.params == tuple(p for p in action.params if p not in values)
+                        for v in base.variables:
+                            _same_representation(got.images[v], want[v])
+                            if any(want[v].denom):
+                                seen.add("specialized denominator")
+    assert seen == {"denominator", "transport denominator", "specialized denominator"}
+
+
+def test_cancelled_partial_sum_resets_the_denominator():
+    """Terms are added one at a time, as in the reference walk: the first
+    four terms of p cancel modulo x*v - y*u - 1, which resets the
+    denominator, so only the last term's lam^1 remains (one reduction of
+    all terms would keep lam^2)."""
+    gm = catalog.gm_action(1, 1)
+    p = pp("x^2*v^2 - y^2*u^2 - 2*y*u - 1 + u", gm.base.variables)
+    got = gm.ring.substitute(p, gm.images)
+    _same_representation(got, _reference_apply_images(p, gm.images, gm.ring))
+    assert got.denom == (1,)
+    assert got == gm.ring.var("u").divide_by_inverted("lam")
+
+
+def test_gd_twist_normal_form_count(monkeypatch):
+    """The seed-0 xmn-gd-twist claim makes at most 5,256 normal forms, the
+    count of the per-factor substitution walk; one reduction per term keeps
+    it below."""
+    calls = [0]
+    real = groebner.normal_form
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    (rec,) = run_claims(RunConfig(seed=0), only=["xmn-gd-twist"]).records
+    assert rec.status == PASS
+    assert 0 < calls[0] <= 5256

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from gawb import catalog
 from gawb.parse import parse_poly as pp
-from gawb.poly import Poly
+from gawb.poly import Poly, TermOrder
 from gawb.quotient import (
     AlgebraPresentation,
     MismatchedPresentationsError,
@@ -228,3 +228,21 @@ def test_equality_completeness_on_points():
                 separated = True
                 break
         assert equal == (not separated)
+
+
+def test_extend_appends_after_the_priority_list():
+    """extend adjoins variables after the term order's priority list, not
+    the declaration order, and with no new variables it only inverts."""
+    pres = AlgebraPresentation(("x", "y"), ["x*y - 1"], order=TermOrder("lex", ("y", "x")))
+    ext = pres.extend(["t"], ["t"])
+    assert ext.variables == ("x", "y", "t")
+    assert ext.order == TermOrder("lex", ("y", "x", "t"))
+    assert ext.inverted == (Poly.variable("t"),)
+    assert ext.element("x + t + y").render() == "y + x + t"
+    assert ext.lift(pres.var("x")) * ext.var("y") == ext.one()
+    loc = pres.extend((), ["x"])
+    assert (loc.variables, loc.order, loc.relations) == (pres.variables, pres.order, pres.relations)
+    assert loc.inverted == (Poly.variable("x"),)
+    assert loc.var("x").unit_inverse() == loc.var("y")
+    with pytest.raises(PresentationError):
+        pres.extend(["y"])

@@ -15,20 +15,20 @@ from typing import Optional, Sequence, Tuple
 
 from .derivations import ActionMap, Derivation, compose_actions, exponential, extend_with_params
 from .parse import parse_poly
-from .poly import Poly, mono
+from .poly import Poly, mono, mono_from_map
 from .quotient import AlgebraPresentation, PolyLike, RingElement
 
 XMN_VARS = ("x", "y", "u", "v")
 
 
 def xmnp_relation(m: int, n: int, p: Poly, fiber: str = "v") -> Poly:
+    """x^m * fiber - y^n * u - p, for p free of u and the fiber variable."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    return (
-        Poly.monomial(mono(x=m)) * Poly.variable(fiber)
-        - Poly.monomial(mono(y=n)) * Poly.variable("u")
-        - p
-    )
+    terms = {mo: -c for mo, c in p.terms.items()}
+    terms[mono_from_map({"x": m, fiber: 1})] = 1
+    terms[mono_from_map({"y": n, "u": 1})] = -1
+    return Poly(terms)
 
 
 def xmnp_presentation(
@@ -127,8 +127,7 @@ def zmnk_presentation(m: int, n: int, k: int) -> Tuple[AlgebraPresentation, Deri
         raise ValueError("k must lie in 0..4")
     pres = AlgebraPresentation(
         ("x", "y", "z", "u", "v"),
-        [f"x^{m}*v - y^{n}*u - z^{k}" if k > 0 else f"x^{m}*v - y^{n}*u - 1",
-         "x^2 + y^3 + z^5"],
+        [xmnp_relation(m, n, Poly.variable("z", k)), "x^2 + y^3 + z^5"],
     )
     d = translation_derivation(pres, m, n)
     return pres, d

@@ -208,14 +208,6 @@ class CertificateError(RuntimeError):
     pass
 
 
-def _hypersurface_relation(m: int, n: int, p: Poly, fiber: str) -> Poly:
-    terms = dict(p.terms)
-    neg = {mo: -c for mo, c in terms.items()}
-    neg[mono_from_map({"x": m, fiber: 1})] = 1
-    neg[mono_from_map({"y": n, "u": 1})] = -1
-    return Poly(neg)
-
-
 def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     """Run the Case 1 / Case 2 transform for X(m, n, p).
 
@@ -242,7 +234,7 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
             Case2Step(
                 b=b, new_n=cur_n, new_p=cur_p,
                 old_fiber_var="v", new_fiber_var=fiber,
-                relation=_hypersurface_relation(m, cur_n, cur_p, fiber),
+                relation=catalog.xmnp_relation(m, cur_n, cur_p, fiber),
             )
         )
     # Case 1: p0 = x^a q0, q0(0) != 0
@@ -251,7 +243,7 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     q0 = p0.mul_monomial(mono(x=-a)) if a else p0
     if q0.coeff_of(ONE_MONO) == 0:
         raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
-    relation = _hypersurface_relation(m, cur_n, cur_p, fiber)
+    relation = catalog.xmnp_relation(m, cur_n, cur_p, fiber)
     witness = Poly.monomial(mono_from_map({"x": m - a, fiber: 1})) - q0
     _check_case1_witness(witness, a, m, relation, fiber)
     trace.append(

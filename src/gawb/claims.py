@@ -310,21 +310,15 @@ def _c_gd_twist(cfg: RunConfig) -> Outcome:
 
 
 def _c_gd_group_law(cfg: RunConfig) -> Outcome:
-    lam = [Poly.variable(f"l{i}") for i in range(1, 4)]
-    ts = [Poly.variable(f"t{i}") for i in range(1, 4)]
+    g = [(Poly.variable(f"l{i}"), Poly.variable(f"t{i}")) for i in range(1, 4)]
     bad = []
     for d in range(1, 7):
-        g = [p1bundles.GdElement(lam[i], ts[i], d) for i in range(3)]
-        left = p1bundles.gd_multiply(p1bundles.gd_multiply(g[0], g[1]), g[2])
-        right = p1bundles.gd_multiply(g[0], p1bundles.gd_multiply(g[1], g[2]))
-        if left != right:
+        law = GroupLaw.semidirect(d)
+        if law.product(law.product(g[0], g[1]), g[2]) != law.product(g[0], law.product(g[1], g[2])):
             bad.append((d, "associativity"))
-        gi = p1bundles.gd_inverse(g[0])
-        prod = p1bundles.gd_multiply(g[0], gi)
-        if not (prod.lam == Poly.const(1) and prod.t == Poly.zero()):
+        if law.product(g[0], law.inverse(g[0])) != law.identity():
             bad.append((d, "inverse"))
-        ident = p1bundles.gd_multiply(p1bundles.gd_identity(d), g[1])
-        if not (ident.lam == g[1].lam and ident.t == g[1].t):
+        if law.product(law.identity(), g[1]) != g[1]:
             bad.append((d, "identity"))
     return _verdict(
         "group axioms for d <= 6, symbolically", "associativity, identity, inverses verified", bad

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import Poly
+from .poly import Poly, invert_coeff
 from .quotient import (
     AlgebraPresentation,
     MismatchedPresentationsError,
@@ -118,17 +119,22 @@ class NilpotencyCertificate:
     bound: int
 
 
+def _tower(d: Derivation, v: str, bound: int) -> Iterator[RingElement]:
+    """v, d(v), d^2(v), ... up to the last nonzero term; raises after
+    bound + 1 applications of d that leave it nonzero.  Lazy, so that a
+    long tower is never held in memory at once."""
+    e = d.ring.var(v)
+    applied = 0
+    while not e.is_zero():
+        yield e
+        e = d.apply(e)
+        applied += 1
+        if applied > bound:
+            raise NotNilpotentWithinBound(v, bound)
+
+
 def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertificate:
-    indices: Dict[str, int] = {}
-    for v in d.ring.variables:
-        e = d.ring.var(v)
-        k = 0
-        while not e.is_zero():
-            e = d.apply(e)
-            k += 1
-            if k > bound:
-                raise NotNilpotentWithinBound(v, bound)
-        indices[v] = k
+    indices = {v: sum(1 for _ in _tower(d, v, bound)) for v in d.ring.variables}
     return NilpotencyCertificate(indices, bound)
 
 
@@ -179,7 +185,7 @@ class ActionMap:
         """Set parameters to constants; the rest stay, with their units."""
         remaining = [p for p in self.params if p not in values]
         ring2 = extend_with_params(self.base, remaining, self.unit_params)
-        sub = {p: Fraction(v) for p, v in values.items()}
+        sub = {p: ring2.element(Fraction(v)) for p, v in values.items()}
         return ActionMap(self.base, ring2, {v: img.substitute(sub, ring2) for v, img in self.images.items()})
 
     def is_identity(self) -> bool:
@@ -198,17 +204,15 @@ def extend_with_params(
 
 
 def exponential(d: Derivation, t: str = "t", bound: int = 64) -> ActionMap:
-    """exp(t*d) as a substitution map; requires a nilpotency certificate."""
-    cert = nilpotency_certificate(d, bound)
+    """exp(t*d) as a substitution map: each image is the sum of
+    d^k(v) * t^k / k! over the derivative tower of v, which must vanish
+    within ``bound`` applications of d."""
     ext = extend_with_params(d.ring, [t])
     tvar = ext.var(t)
     images: Dict[str, RingElement] = {}
     for v in d.ring.variables:
-        term = d.ring.var(v)
-        total = ext.lift(term)
-        tk = ext.one()
-        for k in range(1, cert.indices[v]):
-            term = d.apply(term)
+        total, tk = ext.var(v), ext.one()
+        for k, term in islice(enumerate(_tower(d, v, bound)), 1, None):
             tk = tk * tvar
             total = total + ext.lift(term) * tk * Fraction(1, math.factorial(k))
         images[v] = total
@@ -225,20 +229,55 @@ def compose_actions(first: "ActionMap", second: "ActionMap") -> Dict[str, RingEl
 
 @dataclass(frozen=True)
 class GroupLaw:
-    kind: str  # "additive" | "multiplicative" | "semidirect"
-    twist: Optional[int] = None
+    """A group law on parameter tuples (lam, t), each factor present or not:
+    G_a translates (t, t') -> t + t', G_m scales (lam, lam') -> lam * lam',
+    and G_d = G_m x| G_a has (lam, t)(lam', t') = (lam * lam', t + lam^twist * t').
+
+    Parameters may be ``RingElement``s, Laurent ``Poly``s or numbers; a
+    scale parameter must be invertible (a unit of its ring, a single-term
+    Laurent polynomial, a nonzero number).
+    """
+
+    scale: bool
+    translate: bool
+    twist: int = 0
 
     @staticmethod
     def additive() -> "GroupLaw":
-        return GroupLaw("additive")
+        return GroupLaw(False, True)
 
     @staticmethod
     def multiplicative() -> "GroupLaw":
-        return GroupLaw("multiplicative")
+        return GroupLaw(True, False)
 
     @staticmethod
     def semidirect(d: int) -> "GroupLaw":
-        return GroupLaw("semidirect", d)
+        return GroupLaw(True, True, d)
+
+    def identity(self) -> tuple:
+        return (1,) * self.scale + (0,) * self.translate
+
+    def product(self, g: tuple, h: tuple) -> tuple:
+        if not self.scale:
+            return (g[0] + h[0],)
+        if not self.translate:
+            return (g[0] * h[0],)
+        (lam1, t1), (lam2, t2) = g, h
+        return (lam1 * lam2, t1 + lam1 ** self.twist * t2)
+
+    def inverse(self, g: tuple) -> tuple:
+        if not self.scale:
+            return (-g[0],)
+        lam = g[0]
+        if isinstance(lam, RingElement):
+            inv = lam.unit_inverse()
+        elif isinstance(lam, Poly):
+            inv = lam ** -1
+        else:
+            inv = invert_coeff(lam)
+        if not self.translate:
+            return (inv,)
+        return (inv, -(inv ** self.twist) * g[1])
 
 
 @dataclass
@@ -276,31 +315,24 @@ def _residuals(pairs: Mapping[str, Tuple[RingElement, RingElement]]) -> Dict[str
 
 
 def verify_action(action: ActionMap, law: GroupLaw) -> ActionReport:
-    """Symbolic identity, relation-preservation, composition, and (for the
-    semidirect law) twist checks.  Per-generator residuals are reported
-    instead of failing fast.
+    """Symbolic identity, relation-preservation, composition, and (for a
+    law with both factors) twist checks, with the identity and product taken
+    from the law.  Per-generator residuals are reported instead of failing
+    fast.  The action's parameters must be (lam, t) for the factors the law
+    has, with lam, and only lam, inverted.
     """
     checks: List[ActionCheck] = []
     base = action.base
 
-    if law.kind == "additive":
-        if len(action.params) != 1:
-            raise ValueError("additive law expects a single translation parameter")
-        identity_values = {action.params[0]: 0}
-    elif law.kind == "multiplicative":
-        if len(action.params) != 1 or action.params[0] not in action.unit_params:
-            raise ValueError("multiplicative law expects a single invertible parameter")
-        identity_values = {action.params[0]: 1}
-    elif law.kind == "semidirect":
-        if law.twist is None:
-            raise ValueError("semidirect law needs a twist exponent")
-        if len(action.params) != 2 or action.params[0] not in action.unit_params:
-            raise ValueError("semidirect law expects parameters (scale, translation)")
-        identity_values = {action.params[0]: 1, action.params[1]: 0}
-    else:
-        raise ValueError(f"unknown law {law.kind!r}")
+    params1 = action.params
+    if len(params1) != law.scale + law.translate or action.unit_params != params1[:law.scale]:
+        shape = ("lam",) * law.scale + ("t",) * law.translate
+        raise ValueError(
+            f"{law} needs parameters {shape} with only lam inverted; "
+            f"the action has parameters {params1} with {action.unit_params} inverted"
+        )
 
-    ident = action.specialize_params(identity_values)
+    ident = action.specialize_params(dict(zip(params1, law.identity())))
     pairs = {
         v: (ident.images[v], ident.ring.var(v)) for v in base.variables
     }
@@ -314,7 +346,6 @@ def verify_action(action: ActionMap, law: GroupLaw) -> ActionReport:
             rel_res[f"relation[{i}]"] = img.render()
     checks.append(ActionCheck("relations-preserved", not rel_res, rel_res))
 
-    params1 = action.params
     params2 = tuple(f"{p}_2" for p in params1)
     ring_both = extend_with_params(
         base, params1 + params2, action.unit_params + tuple(f"{p}_2" for p in action.unit_params)
@@ -323,22 +354,14 @@ def verify_action(action: ActionMap, law: GroupLaw) -> ActionReport:
     a2 = action.transport(ring_both, rename={p: q for p, q in zip(params1, params2)})
     composed = compose_actions(a1, a2)
 
-    if law.kind == "additive":
-        product = {params1[0]: ring_both.var(params1[0]) + ring_both.var(params2[0])}
-    elif law.kind == "multiplicative":
-        product = {params1[0]: ring_both.var(params1[0]) * ring_both.var(params2[0])}
-    else:
-        lam1, t1 = (ring_both.var(p) for p in params1)
-        lam2, t2 = (ring_both.var(p) for p in params2)
-        product = {
-            params1[0]: lam1 * lam2,
-            params1[1]: t1 + lam1 ** law.twist * t2,
-        }
+    g1 = tuple(ring_both.var(p) for p in params1)
+    g2 = tuple(ring_both.var(p) for p in params2)
+    product = dict(zip(params1, law.product(g1, g2)))
     target = {v: a1.images[v].substitute(product) for v in base.variables}
     res = _residuals({v: (composed[v], target[v]) for v in base.variables})
     checks.append(ActionCheck("composition", not res, res))
 
-    if law.kind == "semidirect":
+    if law.scale and law.translate:
         lam_name, t_name = params1
         scale_part = action.specialize_params({t_name: 0})
         trans_part = action.specialize_params({lam_name: 1})

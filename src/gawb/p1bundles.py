@@ -51,48 +51,6 @@ def _u_power(p: Poly, k: int) -> Poly:
     return p.mul_monomial(mono(u=k)) if k else p
 
 
-# -- the semidirect group G_d -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GdElement:
-    """Element (lambda, t) of G_m x| G_a with law (l,t)(l',t') = (ll', t + l^d t')."""
-
-    lam: Union[Coeff, Poly]
-    t: Union[Coeff, Poly]
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if isinstance(self.lam, (int, Fraction)) and self.lam == 0:
-            raise ValueError("lambda must be nonzero")
-        if isinstance(self.lam, Poly) and self.lam.is_zero():
-            raise ValueError("lambda must be nonzero")
-
-
-def _pow_signed(x: Union[Coeff, Poly], k: int) -> Union[Coeff, Poly]:
-    if isinstance(x, Poly):
-        return x ** k
-    x = Fraction(x)
-    return x ** k if k >= 0 else (Fraction(1) / x) ** (-k)
-
-
-def gd_identity(d: int) -> GdElement:
-    return GdElement(1, 0, d)
-
-
-def gd_multiply(g1: GdElement, g2: GdElement) -> GdElement:
-    if g1.d != g2.d:
-        raise ValueError("mismatched twist exponents d")
-    return GdElement(g1.lam * g2.lam, g1.t + _pow_signed(g1.lam, g1.d) * g2.t, g1.d)
-
-
-def gd_inverse(g: GdElement) -> GdElement:
-    lam_inv = _pow_signed(g.lam, -1)
-    return GdElement(lam_inv, -_pow_signed(g.lam, -g.d) * g.t, g.d)
-
-
 # -- torsor transitions over P^1 ----------------------------------------------
 
 

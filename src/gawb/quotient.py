@@ -172,7 +172,8 @@ class AlgebraPresentation:
         return self._make(p, tuple(denom))
 
     def _make(self, numer: Poly, denom: Tuple[int, ...]) -> "RingElement":
-        numer = self.basis.normal_form(numer)
+        if numer.terms:
+            numer = self.basis.normal_form(numer)
         if numer.is_zero():
             denom = (0,) * len(self.inverted)
         e = RingElement.__new__(RingElement)
@@ -270,6 +271,11 @@ class RingElement:
 
     def __add__(self, other):
         other = self._coerce(other)
+        # exact: a numerator from _make is already reduced, and zero has no denominator
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
         if self.denom == other.denom:
             return self.ring._make(self.numer + other.numer, self.denom)
         lcm = tuple(max(a, b) for a, b in zip(self.denom, other.denom))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from gawb import catalog, groebner
-from gawb.claims import PASS, RunConfig, run_claims
+from gawb.claims import DISCREPANCY, FAIL, PASS, RunConfig, run_claims
 from gawb.derivations import (
     ActionMap,
     Derivation,
@@ -58,6 +58,30 @@ def test_euler_not_nilpotent():
     euler = Derivation(AlgebraPresentation(["x"]), {"x": "x"})
     with pytest.raises(NotNilpotentWithinBound):
         nilpotency_certificate(euler, bound=12)
+
+
+def test_tower_applies_the_derivation_once_per_step(x22, monkeypatch):
+    """exponential builds each image from one derivative tower: one
+    application of d per step, sum of the nilpotency indices in all (the
+    last one gives 0); a tower that does not vanish stops after bound + 1."""
+    _, d = x22
+    indices = nilpotency_certificate(d).indices
+    calls = [0]
+    real = Derivation.apply
+
+    def counting(self, e):
+        calls[0] += 1
+        return real(self, e)
+
+    monkeypatch.setattr(Derivation, "apply", counting)
+    act = exponential(d, "t")
+    assert calls[0] == sum(indices.values()) == 6
+    assert act.images["v"] == act.ring.var("v") + act.ring.var("t") * act.ring.element("y^2")
+    calls[0] = 0
+    euler = Derivation(AlgebraPresentation(["x"]), {"x": "x"})
+    with pytest.raises(NotNilpotentWithinBound, match="within 12 iterations"):
+        exponential(euler, "t", bound=12)
+    assert calls[0] == 13
 
 
 def test_exponential_images(x22):
@@ -118,6 +142,85 @@ def test_wrong_twist_fails():
     assert not rep.passed
     names = {c.name for c in rep.failures()}
     assert "composition" in names or "twist-identity" in names
+
+
+def _law_axioms(law, elements):
+    """Associativity, two-sided identity and two-sided inverses on all
+    triples of the given parameter tuples."""
+    e = law.identity()
+    for g in elements:
+        assert law.product(e, g) == g and law.product(g, e) == g
+        assert law.product(g, law.inverse(g)) == e and law.product(law.inverse(g), g) == e
+        for h in elements:
+            for k in elements:
+                assert law.product(law.product(g, h), k) == law.product(g, law.product(h, k))
+
+
+LAWS = [GroupLaw.additive(), GroupLaw.multiplicative()] + [GroupLaw.semidirect(d) for d in (1, 2, 5)]
+
+
+def test_group_law_on_numbers():
+    add, mul = GroupLaw.additive(), GroupLaw.multiplicative()
+    gd1, gd2 = GroupLaw.semidirect(1), GroupLaw.semidirect(2)
+    assert (add.identity(), mul.identity(), gd2.identity()) == ((0,), (1,), (1, 0))
+    assert add.product((3,), (4,)) == (7,) and add.inverse((3,)) == (-3,)
+    assert mul.product((2,), (5,)) == (10,) and mul.inverse((2,)) == (Fraction(1, 2),)
+    assert gd1.product((2, 3), (5, 7)) == (10, 17)
+    assert GroupLaw.semidirect(3).product((1, 0), (4, 5)) == (4, 5)
+    assert gd2.inverse((2, 3)) == (Fraction(1, 2), Fraction(-3, 4))
+    # the inverse stays exact: never a float, and an int for a unit lam
+    assert all(type(c) is int for c in gd2.inverse((-1, 3)))
+    assert all(isinstance(c, (int, Fraction)) for c in gd2.inverse((3, 1)))
+    rng = random.Random(14)
+    for law in LAWS:
+        ints = [tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in law.identity()) for _ in range(3)]
+        fracs = [
+            tuple(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for _ in law.identity())
+            for _ in range(3)
+        ]
+        _law_axioms(law, ints + fracs)
+
+
+def test_group_law_on_laurent_polys():
+    lam = [Poly.variable(f"l{i}") for i in (1, 2, 3)]
+    ts = [Poly.variable(f"t{i}") for i in (1, 2, 3)]
+    assert GroupLaw.semidirect(2).product((lam[0], ts[0]), (lam[1], ts[1])) == (
+        lam[0] * lam[1], ts[0] + lam[0] ** 2 * ts[1]
+    )
+    assert GroupLaw.semidirect(3).inverse((lam[0], ts[0])) == (lam[0] ** -1, -(lam[0] ** -3) * ts[0])
+    for law in LAWS + [GroupLaw.semidirect(d) for d in (3, 4, 6)]:
+        params = [((lam[i],) if law.scale else ()) + ((ts[i],) if law.translate else ()) for i in range(3)]
+        _law_axioms(law, params)
+
+
+def test_group_law_on_ring_elements():
+    ring = AlgebraPresentation(["l1", "l2", "t1", "t2"], inverted=["l1", "l2"])
+    l1, l2, t1, t2 = (ring.var(v) for v in ring.variables)
+    law = GroupLaw.semidirect(3)
+    assert law.product((l1, t1), (l2, t2)) == (l1 * l2, t1 + l1 ** 3 * t2)
+    inv = law.inverse((l1, t1))
+    assert inv == (ring.element("l1^-1"), ring.element("-l1^-3*t1"))
+    for law in LAWS:
+        params = [
+            ((lam,) if law.scale else ()) + ((t,) if law.translate else ()) for lam, t in [(l1, t1), (l2, t2)]
+        ]
+        _law_axioms(law, params)
+
+
+@pytest.mark.parametrize(
+    "action_of, law",
+    [
+        (catalog.gm_action, GroupLaw.additive()),
+        (catalog.ga_action, GroupLaw.multiplicative()),
+        (catalog.gm_action, GroupLaw.semidirect(2)),
+        (catalog.ga_action, GroupLaw.semidirect(2)),
+        (catalog.gd_action, GroupLaw.additive()),
+    ],
+    ids=["additive-on-gm", "multiplicative-on-ga", "semidirect-on-gm", "semidirect-on-ga", "additive-on-gd"],
+)
+def test_verify_action_rejects_parameters_that_do_not_fit_the_law(action_of, law):
+    with pytest.raises(ValueError, match="needs parameters"):
+        verify_action(action_of(1, 1), law)
 
 
 def test_exp_composition_is_addition(x22):
@@ -376,10 +479,7 @@ def test_cancelled_partial_sum_resets_the_denominator():
     assert got == gm.ring.var("u").divide_by_inverted("lam")
 
 
-def test_gd_twist_normal_form_count(monkeypatch):
-    """The seed-0 xmn-gd-twist claim makes at most 5,256 normal forms, the
-    count of the per-factor substitution walk; one reduction per term keeps
-    it below."""
+def _count_normal_forms(monkeypatch, only=None):
     calls = [0]
     real = groebner.normal_form
 
@@ -388,6 +488,23 @@ def test_gd_twist_normal_form_count(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "normal_form", counting)
-    (rec,) = run_claims(RunConfig(seed=0), only=["xmn-gd-twist"]).records
+    report = run_claims(RunConfig(seed=0), only=only)
+    return report, calls[0]
+
+
+def test_gd_twist_normal_form_count(monkeypatch):
+    """The seed-0 xmn-gd-twist claim makes at most 2,385 normal forms (5,256
+    with the per-factor substitution walk): one reduction per term, no
+    reduction of zero, and constants lifted once per specialisation."""
+    report, calls = _count_normal_forms(monkeypatch, only=["xmn-gd-twist"])
+    (rec,) = report.records
     assert rec.status == PASS
-    assert 0 < calls[0] <= 5256
+    assert 0 < calls <= 2385
+
+
+def test_seed0_pass_normal_form_count(monkeypatch):
+    """A whole seed-0 verify-paper pass makes at most 6,440 normal forms
+    (11,023 before sums skipped their zero start and zero skipped reduction)."""
+    report, calls = _count_normal_forms(monkeypatch)
+    assert report.counts == {PASS: 29, DISCREPANCY: 10, FAIL: 0}
+    assert 0 < calls <= 6440

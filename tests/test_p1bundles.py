@@ -4,16 +4,13 @@ from fractions import Fraction
 import pytest
 
 from gawb import p1bundles
+from gawb.derivations import GroupLaw
 from gawb.p1bundles import (
-    GdElement,
     NonMonomialDeterminantError,
     SplittingType,
     TorsorTransition,
     TransitionMatrix2,
     birkhoff_split,
-    gd_identity,
-    gd_inverse,
-    gd_multiply,
     generator_involution_check,
     h0_twist,
     sdm_from_mn,
@@ -28,31 +25,17 @@ from gawb.poly import Poly, mono, mono_exp
 
 
 def test_gd_multiplication():
-    g = gd_multiply(GdElement(2, 3, 1), GdElement(5, 7, 1))
-    assert (g.lam, g.t) == (10, 17)
-    assert gd_multiply(gd_identity(3), GdElement(4, 5, 3)) == GdElement(4, 5, 3)
+    # the structure group G_d of the P^1-bundle torsors: (lam, t)(lam', t') = (lam lam', t + lam^d t')
+    assert GroupLaw.semidirect(1).product((2, 3), (5, 7)) == (10, 17)
+    gd3 = GroupLaw.semidirect(3)
+    assert gd3.product(gd3.identity(), (4, 5)) == (4, 5)
 
 
 def test_gd_inverse():
-    gi = gd_inverse(GdElement(2, 3, 2))
-    assert (gi.lam, gi.t) == (Fraction(1, 2), Fraction(-3, 4))
-    assert gd_multiply(GdElement(2, 3, 2), gi) == gd_identity(2)
-
-
-def test_gd_requires_matching_twist():
-    with pytest.raises(ValueError):
-        gd_multiply(GdElement(1, 0, 2), GdElement(1, 0, 3))
-
-
-def test_gd_symbolic_axioms():
-    lam = [Poly.variable(f"l{i}") for i in (1, 2, 3)]
-    ts = [Poly.variable(f"t{i}") for i in (1, 2, 3)]
-    for d in range(1, 7):
-        g = [GdElement(lam[i], ts[i], d) for i in range(3)]
-        assert gd_multiply(gd_multiply(g[0], g[1]), g[2]) == gd_multiply(g[0], gd_multiply(g[1], g[2]))
-        inv = gd_inverse(g[0])
-        prod = gd_multiply(g[0], inv)
-        assert prod.lam == Poly.const(1) and prod.t == Poly.zero()
+    gd2 = GroupLaw.semidirect(2)
+    gi = gd2.inverse((2, 3))
+    assert gi == (Fraction(1, 2), Fraction(-3, 4))
+    assert gd2.product((2, 3), gi) == gd2.identity()
 
 
 def test_torsor_class_extraction():
@@ -224,15 +207,6 @@ def test_torsor_class_linear_in_phi():
         c2 = torsor_class(TorsorTransition(d, phi2)).coefficients
         csum = torsor_class(TorsorTransition(d, phi1 + phi2)).coefficients
         assert csum == tuple(a + b for a, b in zip(c1, c2))
-
-
-def test_gd_element_validation():
-    with pytest.raises(ValueError):
-        GdElement(0, 1, 2)
-    with pytest.raises(ValueError):
-        GdElement(Poly.zero(), Poly.const(1), 2)
-    with pytest.raises(ValueError):
-        GdElement(1, 0, 0)
 
 
 def test_splitting_type_sorted():

@@ -1,10 +1,13 @@
-"""Smoke runs of the layer and sweep scripts at their smallest settings.
+"""Smoke runs of the layer and sweep scripts at their smallest settings, and
+of the benchmark's self-test and one traced benchmark round.
 
 ``division_layer.py`` rebinds ``groebner.normal_form`` and ``poly.mono_mul``
-by identity and ``parse_layer.py`` imports from it, so a rename in ``gawb``
-breaks them without breaking any other test.
+by identity and ``parse_layer.py`` imports from it, and the benchmark's
+tracer finds its layers by function name, so a rename in ``gawb`` breaks
+them without breaking any other test.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +16,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(path, *args) -> str:
+    env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(path), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": env_path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 @pytest.mark.parametrize(
@@ -25,13 +41,18 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
+    assert _run(ROOT / "scripts" / script, *args)
+
+
+def test_bench_selftest_passes():
+    last = json.loads(_run(ROOT / "bench" / "selftest.py").splitlines()[-1])
+    assert last["problems"] == 0 and last["verify_paper_byte_identical"]
+
+
+def test_traced_bench_round_finds_its_layers():
+    out = _run(
+        ROOT / "bench" / "worker.py", "--workload", "verify-paper", "--seed", "1", "--round", "0", "--trace"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    result = json.loads(out.splitlines()[-1])
+    assert result["failed"] == result["wrong"] == 0
+    assert result["layers"]["groebner.normal_form.calls"] > 0

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import Poly, invert_coeff
+from .poly import Poly, invert_coeff, mono_from_map
 from .quotient import (
     AlgebraPresentation,
     MismatchedPresentationsError,
@@ -54,13 +54,30 @@ class Derivation:
             self.images[v] = ring.element(e)
 
     def apply_poly(self, p: Poly) -> RingElement:
-        out = self.ring.zero()
+        """d(p), the sum of d(v) * dp/dv over the variables v of p.
+
+        When p and every image it uses are regular, the numerators
+        d(v) * dp/dv are summed as polynomials and reduced once.  The normal
+        form is linear and ``groebner._divide`` writes the remainder in pop
+        order, so this is the representative that reducing every product
+        and partial sum gives.  Otherwise the terms are reduced and added
+        one at a time (the eager path), since there a partial sum that
+        cancels resets the denominator.
+        """
+        used = []
         for v in p.variables():
             img = self.images.get(v)
             if img is None:
                 raise ValueError(f"polynomial mentions {v!r} which has no image")
-            if img.is_zero():
-                continue
+            if not img.is_zero():
+                used.append((v, img))
+        if p.is_regular() and all(img.is_regular() for _, img in used):
+            total = Poly.zero()
+            for v, img in used:
+                total = total + img.numer * p.differentiate(v)
+            return self.ring._make(total, (0,) * len(self.ring.inverted))
+        out = self.ring.zero()
+        for v, img in used:
             out = out + img * self.ring.element(p.differentiate(v))
         return out
 
@@ -76,7 +93,7 @@ class Derivation:
                     continue
                 term = self.apply_poly(f).divide_by_inverted(f)
                 corr = corr + a * term
-            numer_elem = self.ring._make(e.numer, (0,) * len(e.denom))
+            numer_elem = self.ring._normal(e.numer, (0,) * len(e.denom))
             return (base - numer_elem * corr) * inv_d
         return base
 
@@ -206,16 +223,26 @@ def extend_with_params(
 def exponential(d: Derivation, t: str = "t", bound: int = 64) -> ActionMap:
     """exp(t*d) as a substitution map: each image is the sum of
     d^k(v) * t^k / k! over the derivative tower of v, which must vanish
-    within ``bound`` applications of d."""
+    within ``bound`` applications of d.
+
+    The tower is streamed.  While its terms are regular, their numerators
+    times t^k / k! are summed as one polynomial, which is reduced once (see
+    ``Derivation.apply_poly``).  From the first term with a denominator on,
+    the terms are lifted and added one at a time (the eager path)."""
     ext = extend_with_params(d.ring, [t])
-    tvar = ext.var(t)
+    regular = (0,) * len(ext.inverted)
     images: Dict[str, RingElement] = {}
     for v in d.ring.variables:
-        total, tk = ext.var(v), ext.one()
+        numer, total = Poly.variable(v), None
         for k, term in islice(enumerate(_tower(d, v, bound)), 1, None):
-            tk = tk * tvar
-            total = total + ext.lift(term) * tk * Fraction(1, math.factorial(k))
-        images[v] = total
+            scale = Fraction(1, math.factorial(k))
+            if total is None and term.is_regular():
+                numer = numer + term.numer.mul_monomial(mono_from_map({t: k}), scale)
+                continue
+            if total is None:
+                total = ext._make(numer, regular)
+            total = total + ext.lift(term) * ext.var(t) ** k * scale
+        images[v] = ext._make(numer, regular) if total is None else total
     return ActionMap(d.ring, ext, images)
 
 

@@ -394,18 +394,18 @@ class Poly:
     # -- calculus and structure ----------------------------------------------
 
     def differentiate(self, var: str) -> "Poly":
-        """Formal partial derivative (valid for Laurent exponents too)."""
+        """Formal partial derivative (valid for Laurent exponents too).
+
+        The exponent of var drops by one in place in each monomial that has
+        it, and the pair goes when it reaches 0.  Dividing by var is
+        injective on those monomials and c*e is nonzero, so no two terms
+        meet and none cancels."""
         d: dict = {}
         for m, c in self.terms.items():
-            e = mono_exp(m, var)
-            if e == 0:
-                continue
-            nm = mono_mul(m, ((var, -1),))
-            n = d.get(nm, 0) + c * e
-            if n:
-                d[nm] = n
-            elif nm in d:
-                del d[nm]
+            for i, (v, e) in enumerate(m):
+                if v == var:
+                    d[m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]] = c * e
+                    break
         return Poly._raw(d)
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":

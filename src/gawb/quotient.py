@@ -19,7 +19,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from . import groebner
 from .linalg import cofactor_det
 from .parse import parse_poly
-from .poly import Coeff, Poly, TermOrder, invert_coeff, mono_factors, mono_from_map, render_poly
+from .poly import (
+    Coeff, Poly, TermOrder, invert_coeff, mono_divides, mono_factors, mono_from_map, render_poly,
+)
 
 PolyLike = Union[Poly, str, int, Fraction]
 
@@ -73,14 +75,24 @@ class AlgebraPresentation:
 
         self.inverted: Tuple[Poly, ...] = tuple(self._parse(f) for f in inverted)
         self._unit_vars: Dict[str, int] = {}
+        names: List[Optional[str]] = []  # the variable each inverted element is, or None
         for i, f in enumerate(self.inverted):
             if not f.is_regular():
                 raise PresentationError("inverted elements must be regular polynomials")
             if self.basis.normal_form(f).is_zero():
                 raise PresentationError(f"inverted element {render_poly(f)} is zero modulo relations")
             vs = tuple(f.variables())
-            if len(vs) == 1 and f == Poly.variable(vs[0]):
-                self._unit_vars.setdefault(vs[0], i)
+            name = vs[0] if len(vs) == 1 and f == Poly.variable(vs[0]) else None
+            names.append(name)
+            if name is not None:
+                self._unit_vars.setdefault(name, i)
+        self._inverted_vars: Tuple[Optional[str], ...] = tuple(names)
+        # a variable is its own normal form unless a leading monomial of the
+        # basis divides it (the variable itself, or 1 for the unit ideal)
+        self._reducible_vars = frozenset(
+            v for v in self.variables
+            if any(mono_divides(lm, mono_from_map({v: 1})) for lm, _ in self.basis.leads)
+        )
 
     def _parse(self, p: PolyLike) -> Poly:
         if isinstance(p, Poly):
@@ -148,7 +160,10 @@ class AlgebraPresentation:
     def var(self, name: str) -> "RingElement":
         if name not in self.variables:
             raise PresentationError(f"unknown variable {name!r}")
-        return self.element(Poly.variable(name))
+        p, denom = Poly.variable(name), (0,) * len(self.inverted)
+        if name in self._reducible_vars:
+            return self._make(p, denom)
+        return self._normal(p, denom)
 
     def element(self, value: Union[PolyLike, "RingElement"]) -> "RingElement":
         if isinstance(value, RingElement):
@@ -174,6 +189,10 @@ class AlgebraPresentation:
     def _make(self, numer: Poly, denom: Tuple[int, ...]) -> "RingElement":
         if numer.terms:
             numer = self.basis.normal_form(numer)
+        return self._normal(numer, denom)
+
+    def _normal(self, numer: Poly, denom: Tuple[int, ...]) -> "RingElement":
+        """The element numer / denom, for a numer already in normal form."""
         if numer.is_zero():
             denom = (0,) * len(self.inverted)
         e = RingElement.__new__(RingElement)
@@ -350,6 +369,10 @@ class RingElement:
 
     def unit_inverse(self) -> "RingElement":
         """Inverse of an element of the form c * monomial-in-inverted-variables."""
+        return self.ring._make(*self._inverse_parts())
+
+    def _inverse_parts(self) -> Tuple[Poly, Tuple[int, ...]]:
+        """The unreduced numerator and the denominator of ``unit_inverse``."""
         if not self.numer.is_single_term():
             raise NotAUnitError("element is not a single term; cannot invert")
         m, c = self.numer.single_term()
@@ -359,8 +382,7 @@ class RingElement:
             if idx is None or e < 0:
                 raise NotAUnitError(f"monomial factor {v!r} is not an inverted variable")
             denom[idx] += e
-        numer = Poly.const(invert_coeff(c)) * self.ring.denominator_poly(self.denom)
-        return self.ring._make(numer, tuple(denom))
+        return Poly.const(invert_coeff(c)) * self.ring.denominator_poly(self.denom), tuple(denom)
 
     def substitute(
         self,
@@ -377,14 +399,30 @@ class RingElement:
         ``into.substitute``; each inverted element f of this ring maps to
         f(images), which must be a unit of ``into`` of the form
         c * monomial in inverted variables, and its inverse multiplies in.
+
+        The image of an inverted variable is looked up, not recomputed, and
+        each inverse is read off its image.  The inverses' numerators and the
+        mapped numerator make one product, reduced once.  It is the element that reducing after every
+        factor gives: NF(a*b) = NF(NF(a)*b), and a partial product that is
+        zero stays zero, so the denominator's reset to 1 is the same too.
         """
         into = self.ring if into is None else into
         images = {v: into.element(e) for v, e in mapping.items()}
         out = into.substitute(self.numer, images)
-        for f, e in zip(self.ring.inverted, self.denom):
-            if e:
-                out = out * into.substitute(f, images).unit_inverse() ** e
-        return out
+        if not any(self.denom):
+            return out
+        numer, denom = out.numer, out.denom
+        for f, v, e in zip(self.ring.inverted, self.ring._inverted_vars, self.denom):
+            if not e:
+                continue
+            if v is None:
+                img = into.substitute(f, images)
+            else:
+                img = images[v] if v in images else into.var(v)
+            inv_numer, inv_denom = img._inverse_parts()
+            numer = numer * inv_numer ** e
+            denom = tuple(a + e * b for a, b in zip(denom, inv_denom))
+        return into._make(numer, denom)
 
     def evaluate(self, point: "RationalPoint") -> Fraction:
         if point.ring != self.ring:

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from gawb.derivations import (
     Derivation,
     GroupLaw,
     NotNilpotentWithinBound,
+    _tower,
     compose_actions,
     descends_to_quotient,
     exponential,
@@ -466,6 +469,20 @@ def test_one_ring_map_matches_references():
     assert seen == {"denominator", "transport denominator", "specialized denominator"}
 
 
+def test_ring_map_inverts_a_product_through_its_image():
+    """An inverted element that is not a variable (here x*y) maps to its
+    image's unit_inverse, and the inverted variables' inverses are read off
+    their images; the one product gives the reference chain's element."""
+    rng = random.Random(1516)
+    ring = catalog.xmn_presentation(2, 2, inverted=("x", "y", "x*y"))
+    x, y, u = ring.var("x"), ring.var("y"), ring.var("u")
+    maps = [{"x": x * 2}, {"x": y, "y": x ** 2 * Fraction(3, 2)}, {"u": u * x + y, "y": y.unit_inverse()}]
+    for _ in range(10):
+        e = _seeded_element(rng, ring).divide_by_inverted("x*y")
+        for mapping in maps:
+            _same_representation(e.substitute(mapping), _reference_substitute(e, mapping))
+
+
 def test_cancelled_partial_sum_resets_the_denominator():
     """Terms are added one at a time, as in the reference walk: the first
     four terms of p cancel modulo x*v - y*u - 1, which resets the
@@ -477,6 +494,87 @@ def test_cancelled_partial_sum_resets_the_denominator():
     _same_representation(got, _reference_apply_images(p, gm.images, gm.ring))
     assert got.denom == (1,)
     assert got == gm.ring.var("u").divide_by_inverted("lam")
+
+
+def _reference_apply_poly(d, p):
+    """The eager walk: each product d(v) * dp/dv is reduced as it is formed
+    and added to the running sum, which is reduced too."""
+    out = d.ring.zero()
+    for v in p.variables():
+        img = d.images[v]
+        if not img.is_zero():
+            out = out + img * d.ring.element(p.differentiate(v))
+    return out
+
+
+def _eager(d):
+    """d with ``apply_poly`` replaced by the eager walk, which ``apply`` and
+    the tower then use too."""
+    ref = Derivation(d.ring, d.images)
+    ref.apply_poly = lambda p: _reference_apply_poly(ref, p)
+    return ref
+
+
+def _reference_exponential(d, t="t", bound=64):
+    """The eager exponential: every tower term is lifted and multiplied by
+    t^k and 1/k!, and added to the running sum, each step reduced."""
+    ext = extend_with_params(d.ring, [t])
+    tvar = ext.var(t)
+    images = {}
+    for v in d.ring.variables:
+        total, tk = ext.var(v), ext.one()
+        for k, term in islice(enumerate(_tower(d, v, bound)), 1, None):
+            tk = tk * tvar
+            total = total + ext.lift(term) * tk * Fraction(1, math.factorial(k))
+        images[v] = total
+    return images
+
+
+def _triangular_derivation(rng, ring, with_denominators):
+    """x -> 0, y -> a(x), u and v -> polynomials in x and y, over powers of
+    x when asked: triangular, so every tower vanishes."""
+    def draw(variables):
+        e = ring.element(seeded_poly(rng, variables, 3, 2))
+        return e.divide_by_inverted("x", rng.randint(0, 2)) if with_denominators else e
+    return Derivation(ring, {"x": 0, "y": draw(("x",)), "u": draw(("x", "y")), "v": draw(("x", "y"))})
+
+
+def test_one_reduction_matches_eager_walks():
+    """apply_poly, apply and exponential give the eager walks' elements: the
+    same numerator terms in the same insertion order, the same coefficient
+    values and the same denominators.  Seeded derivations and elements over
+    xmn(m, n) for m, n <= 3, with and without x and y inverted; images and
+    tower terms with denominators take the eager path, from the first
+    term or from a later one."""
+    rng = random.Random(1515)
+    seen = set()
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for inverted in ((), ("x", "y")):
+                ring = catalog.xmn_presentation(m, n, inverted=inverted)
+                for with_denominators in (False, True) if inverted else (False,):
+                    draw = _seeded_element if with_denominators else (
+                        lambda rng, ring: ring.element(seeded_poly(rng, ring.variables, 3, 2, nonzero=True))
+                    )
+                    d = Derivation(ring, {v: draw(rng, ring) for v in ring.variables})
+                    ref = _eager(d)
+                    raw = list(ring.relations) + [seeded_poly(rng, ring.variables, 4, 2) for _ in range(3)]
+                    for p in raw:
+                        _same_representation(d.apply_poly(p), ref.apply_poly(p))
+                    for _ in range(2):
+                        e = _seeded_element(rng, ring)
+                        _same_representation(d.apply(e), ref.apply(e))
+                    seen.add("eager apply_poly" if with_denominators else "one-reduction apply_poly")
+
+                    d = _triangular_derivation(rng, ring, with_denominators)
+                    got, want = exponential(d), _reference_exponential(_eager(d))
+                    for v in ring.variables:
+                        _same_representation(got.images[v], want[v])
+                        first = next((k for k, term in enumerate(_tower(d, v, 64)) if not term.is_regular()), 0)
+                        seen.add({0: "regular tower", 1: "denominator at k=1"}.get(first, "denominator later"))
+    assert seen == {
+        "one-reduction apply_poly", "eager apply_poly", "regular tower", "denominator at k=1", "denominator later",
+    }
 
 
 def _count_normal_forms(monkeypatch, only=None):
@@ -493,18 +591,32 @@ def _count_normal_forms(monkeypatch, only=None):
 
 
 def test_gd_twist_normal_form_count(monkeypatch):
-    """The seed-0 xmn-gd-twist claim makes at most 2,385 normal forms (5,256
-    with the per-factor substitution walk): one reduction per term, no
-    reduction of zero, and constants lifted once per specialisation."""
+    """The seed-0 xmn-gd-twist claim makes at most 1,377 normal forms (5,256
+    with the per-factor substitution walk, 2,385 while each inverted factor
+    cost four and each var() one): one reduction per term, no reduction of
+    zero, constants lifted once per specialisation, and the inverted
+    variables' inverses read off their images."""
     report, calls = _count_normal_forms(monkeypatch, only=["xmn-gd-twist"])
     (rec,) = report.records
     assert rec.status == PASS
-    assert 0 < calls <= 2385
+    assert 0 < calls <= 1377
+
+
+def test_x22_descends_normal_form_count(monkeypatch):
+    """The seed-0 example-x22-descends claim makes at most 71 normal forms
+    (349 when every product and partial sum of a derivation step was
+    reduced): one per step of the 65-step tower."""
+    report, calls = _count_normal_forms(monkeypatch, only=["example-x22-descends"])
+    (rec,) = report.records
+    assert rec.status == DISCREPANCY
+    assert 0 < calls <= 71
 
 
 def test_seed0_pass_normal_form_count(monkeypatch):
-    """A whole seed-0 verify-paper pass makes at most 6,440 normal forms
-    (11,023 before sums skipped their zero start and zero skipped reduction)."""
+    """A whole seed-0 verify-paper pass makes at most 3,625 normal forms
+    (11,023 before sums skipped their zero start and zero skipped reduction,
+    6,440 before a derivation step, a variable and an inverted factor of a
+    substitution reduced once)."""
     report, calls = _count_normal_forms(monkeypatch)
     assert report.counts == {PASS: 29, DISCREPANCY: 10, FAIL: 0}
-    assert 0 < calls <= 6440
+    assert 0 < calls <= 3625

@@ -75,6 +75,40 @@ def test_differentiate():
     assert parse_poly("y").differentiate("x").is_zero()
 
 
+def _reference_differentiate(p, var):
+    """The derivative through ``mono_mul``: divide each monomial by var and
+    merge the terms that meet."""
+    d = {}
+    for m, c in p.terms.items():
+        e = mono_exp(m, var)
+        if e == 0:
+            continue
+        nm = mono_mul(m, ((var, -1),))
+        n = d.get(nm, 0) + c * e
+        if n:
+            d[nm] = n
+        elif nm in d:
+            del d[nm]
+    return Poly(d)
+
+
+def test_differentiate_matches_mono_mul_walk():
+    """The in-place exponent drop gives the reference's terms, in the same
+    insertion order, on seeded Laurent polynomials with exponents in -3..3:
+    the variable drops out at exponent 1 and negative exponents fall."""
+    rng = random.Random(1517)
+    seen = set()
+    for _ in range(400):
+        p = seeded_poly(rng, ("x", "y", "z"), 6, 3, laurent=True)
+        for var in ("x", "y", "z", "w"):
+            got, want = p.differentiate(var), _reference_differentiate(p, var)
+            assert list(got.terms.items()) == list(want.terms.items())
+            for m in p.terms:
+                e = mono_exp(m, var)
+                seen.add("drops out" if e == 1 else "negative" if e < 0 else "positive" if e else "absent")
+    assert seen == {"drops out", "negative", "positive", "absent"}
+
+
 def test_evaluate_exact():
     p = parse_poly("1/2*x^2 - y^-1")
     assert p.evaluate({"x": Fraction(2, 3), "y": Fraction(3)}) == Fraction(2, 9) - Fraction(1, 3)

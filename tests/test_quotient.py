@@ -246,3 +246,22 @@ def test_extend_appends_after_the_priority_list():
     assert loc.var("x").unit_inverse() == loc.var("y")
     with pytest.raises(PresentationError):
         pres.extend(["y"])
+
+
+def test_var_is_the_normal_form_of_the_variable():
+    """var(v) skips the reduction only where no leading monomial of the basis
+    divides v, and gives element(v) everywhere: with no relation, with
+    leading monomials of degree above 1, with a variable as a leading
+    monomial, and in the unit ideal."""
+    cases = [
+        AlgebraPresentation(("x", "y")),
+        catalog.xmn_presentation(2, 3, inverted=("x",)),
+        AlgebraPresentation(("x", "y", "z"), ["x - y - 1", "z^2 - y"]),
+        AlgebraPresentation(("x", "y"), ["x", "x - 1"]),
+    ]
+    for pres in cases:
+        for v in pres.variables:
+            got, want = pres.var(v), pres.element(Poly.variable(v))
+            assert list(got.numer.terms.items()) == list(want.numer.terms.items())
+            assert got.denom == want.denom
+    assert cases[2].var("x") == cases[2].element("y + 1") and cases[3].var("y").is_zero()

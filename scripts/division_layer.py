@@ -5,10 +5,11 @@ The tower is the work of the ``verify-paper`` claim ``example-x22-descends``:
 the derivation printed for the paper's (2,2) example is applied to each
 generator of A = C[x,y,u,v]/(x^2*v - y^2*u - 1) up to ``--bound`` times, and
 every image is reduced modulo the relation.  One recording pass counts the
-calls to ``Poly.__mul__``, ``groebner.normal_form`` and ``mono_mul`` and keeps
-the inputs of every product and every division.  Then the whole tower, the
-recorded products and the recorded divisions each run ``--repeats`` times,
-and the minimum time of each is printed.
+calls to ``Poly.__mul__``, ``Poly.derive`` (the derivation step's product
+kernel), ``groebner.normal_form`` and ``mono_mul`` and keeps the inputs of
+every call but ``mono_mul``'s.  Then the whole tower and the recorded calls of
+each layer run ``--repeats`` times, and the minimum time of each is printed;
+a layer the tower never calls prints ``-``.
 
     PYTHONPATH=src python3 scripts/division_layer.py [--repeats N] [--bound B]
 """
@@ -40,34 +41,41 @@ def _rebind(original, replacement):
                 setattr(mod, attr, replacement)
 
 
+def _recording(calls: list, fn):
+    """fn, appending the arguments of each call to ``calls``."""
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def record(derivation, bound: int):
-    """Run the tower once; return its outcome, the product operand pairs,
-    the division arguments and the number of ``mono_mul`` calls."""
-    products, divisions, monos = [], [], [0]
-    mul, nf, mono_mul = poly.Poly.__mul__, groebner.normal_form, poly.mono_mul
-
-    def counted_mul(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    def counted_nf(*args, **kwargs):
-        divisions.append((args, kwargs))
-        return nf(*args, **kwargs)
+    """Run the tower once; return its outcome, the arguments of every
+    product, derivation kernel call and division, and the number of
+    ``mono_mul`` calls."""
+    products, derives, divisions, monos = [], [], [], [0]
+    mul, derive, nf, mono_mul = poly.Poly.__mul__, poly.Poly.derive, groebner.normal_form, poly.mono_mul
 
     def counted_mono_mul(a, b):
         monos[0] += 1
         return mono_mul(a, b)
 
-    poly.Poly.__mul__ = poly.Poly.__rmul__ = counted_mul
-    _rebind(nf, counted_nf)
+    recorded_nf = _recording(divisions, nf)
+    poly.Poly.__mul__ = poly.Poly.__rmul__ = _recording(products, mul)
+    poly.Poly.derive = _recording(derives, derive)
+    _rebind(nf, recorded_nf)
     _rebind(mono_mul, counted_mono_mul)
     try:
         outcome = run_tower(derivation, bound)
     finally:
         poly.Poly.__mul__ = poly.Poly.__rmul__ = mul
-        _rebind(counted_nf, nf)
+        poly.Poly.derive = derive
+        _rebind(recorded_nf, nf)
         _rebind(counted_mono_mul, mono_mul)
-    return outcome, products, divisions, monos[0]
+    return outcome, {"Poly.__mul__": (mul, products), "Poly.derive": (derive, derives),
+                     "groebner.normal_form": (nf, divisions)}, monos[0]
 
 
 def best_of(repeats: int, fn) -> float:
@@ -88,26 +96,22 @@ def main() -> int:
         ap.error("--repeats and --bound must be positive")
 
     derivation = catalog.a22_example().derivation
-    outcome, products, divisions, monos = record(derivation, args.bound)
-    mul, nf = poly.Poly.__mul__, groebner.normal_form
+    outcome, layers, monos = record(derivation, args.bound)
 
-    def replay_products():
-        for a, b in products:
-            mul(a, b)
+    def replay(fn, calls):
+        for a, kw in calls:
+            fn(*a, **kw)
 
-    def replay_divisions():
-        for a, kw in divisions:
-            nf(*a, **kw)
-
-    rows = [
-        ("tower", 1, best_of(args.repeats, lambda: run_tower(derivation, args.bound))),
-        ("Poly.__mul__", len(products), best_of(args.repeats, replay_products)),
-        ("groebner.normal_form", len(divisions), best_of(args.repeats, replay_divisions)),
-    ]
+    rows = [("tower", 1, best_of(args.repeats, lambda: run_tower(derivation, args.bound)))]
+    for name, (fn, calls) in layers.items():
+        rows.append((name, len(calls), best_of(args.repeats, lambda: replay(fn, calls))))
     print(f"x22 tower, bound {args.bound}: {outcome}; minimum of {args.repeats} runs")
     print(f"{'layer':<22}{'calls':>8}{'min s':>10}{'us/call':>10}")
     for name, calls, seconds in rows:
-        print(f"{name:<22}{calls:>8}{seconds:>10.4f}{1e6 * seconds / calls:>10.1f}")
+        if calls:
+            print(f"{name:<22}{calls:>8}{seconds:>10.4f}{1e6 * seconds / calls:>10.1f}")
+        else:
+            print(f"{name:<22}{calls:>8}{'-':>10}{'-':>10}")
     print(f"{'mono_mul':<22}{monos:>8}{'-':>10}{'-':>10}")
     return 0
 

@@ -155,12 +155,6 @@ def normal_form_mnp(c: CocycleClass) -> NormalFormMNP:
     return NormalFormMNP(m, n, Poly(terms))
 
 
-def bundle_from_cocycle(nf: NormalFormMNP) -> Tuple[AlgebraPresentation, Derivation]:
-    """Total-space presentation x^m v - y^n u - p plus its translation derivation."""
-    pres = catalog.xmnp_presentation(nf.m, nf.n, nf.p)
-    return pres, catalog.translation_derivation(pres, nf.m, nf.n)
-
-
 # -- affineness certificates --------------------------------------------------
 
 

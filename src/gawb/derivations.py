@@ -56,11 +56,11 @@ class Derivation:
     def apply_poly(self, p: Poly) -> RingElement:
         """d(p), the sum of d(v) * dp/dv over the variables v of p.
 
-        When p and every image it uses are regular, the numerators
-        d(v) * dp/dv are summed as polynomials and reduced once.  The normal
-        form is linear and ``groebner._divide`` writes the remainder in pop
-        order, so this is the representative that reducing every product
-        and partial sum gives.  Otherwise the terms are reduced and added
+        When p and every image it uses are regular, ``Poly.derive`` sums
+        the numerators d(v) * dp/dv in one pass and the sum is reduced once.
+        The normal form is linear and ``groebner._divide`` writes the
+        remainder in pop order, so this is the representative that reducing
+        every product and partial sum gives.  Otherwise the terms are reduced and added
         one at a time (the eager path), since there a partial sum that
         cancels resets the denominator.
         """
@@ -72,9 +72,7 @@ class Derivation:
             if not img.is_zero():
                 used.append((v, img))
         if p.is_regular() and all(img.is_regular() for _, img in used):
-            total = Poly.zero()
-            for v, img in used:
-                total = total + img.numer * p.differentiate(v)
+            total = p.derive({v: img.numer for v, img in used})
             return self.ring._make(total, (0,) * len(self.ring.inverted))
         out = self.ring.zero()
         for v, img in used:
@@ -204,9 +202,6 @@ class ActionMap:
         ring2 = extend_with_params(self.base, remaining, self.unit_params)
         sub = {p: ring2.element(Fraction(v)) for p, v in values.items()}
         return ActionMap(self.base, ring2, {v: img.substitute(sub, ring2) for v, img in self.images.items()})
-
-    def is_identity(self) -> bool:
-        return all(self.images[v] == self.ring.var(v) for v in self.base.variables)
 
     def __repr__(self):
         body = "; ".join(f"{v} -> {self.images[v].render()}" for v in self.base.variables)

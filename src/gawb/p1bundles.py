@@ -84,14 +84,6 @@ def torsor_class(tt: TorsorTransition) -> TorsorClass:
     return TorsorClass(tt.d, tuple(coeffs))
 
 
-def torsor_witness(tt: TorsorTransition) -> Tuple[Poly, Poly]:
-    """Split phi = u^d s0 - s1 + (class part): s0 regular in u, s1 in u^-1.
-
-    When the class vanishes the witness reconstructs phi exactly.
-    """
-    return _u_power(tt.phi.select(U, tt.d), -tt.d), -tt.phi.select(U, hi=0)
-
-
 @dataclass(frozen=True)
 class SdmTransition:
     """Full G_d chart change of the quotient of the hypersurface threefold:
@@ -107,10 +99,6 @@ class SdmTransition:
     @property
     def torsor(self) -> TorsorTransition:
         return TorsorTransition(self.d, Poly.monomial(mono(u=self.m)))
-
-    @property
-    def l_multiplier(self) -> Poly:
-        return Poly.variable(U)
 
     def matrix(self) -> "TransitionMatrix2":
         return transition_matrix(self.m, self.n)

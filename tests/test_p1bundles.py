@@ -16,7 +16,6 @@ from gawb.p1bundles import (
     sdm_from_mn,
     splitting_by_h0_scan,
     torsor_class,
-    torsor_witness,
     transition_matrix,
     u_poly,
     verify_trivialization,
@@ -56,9 +55,11 @@ def test_torsor_transition_rejects_variables_other_than_u():
 
 
 def test_torsor_witness_reconstruction():
+    """A trivial class splits phi = u^d s0 - s1 with s0 regular in u and s1
+    in u^-1: phi has no u^1 .. u^(d-1) terms."""
     tt = TorsorTransition(4, u_poly("3 + u^-2 + 5*u^4 + u^6"))
     assert torsor_class(tt).is_trivial()
-    s0, s1 = torsor_witness(tt)
+    s0, s1 = tt.phi.select("u", tt.d) * u_poly("u^-4"), -tt.phi.select("u", hi=0)
     assert u_poly("u^4") * s0 - s1 == tt.phi
     assert s0.is_regular(("u",))
 
@@ -68,7 +69,6 @@ def test_sdm_from_mn():
         sdm = sdm_from_mn(m, n)
         assert sdm.d == m + n
         assert sdm.torsor.phi == u_poly(phi)
-        assert sdm.l_multiplier == u_poly("u")
         assert sdm.matrix().entries[0][0] == u_poly(f"u^{m+n}")
 
 

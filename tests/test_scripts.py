@@ -2,9 +2,9 @@
 of the benchmark's self-test and one traced benchmark round.
 
 ``division_layer.py`` rebinds ``groebner.normal_form`` and ``poly.mono_mul``
-by identity and ``parse_layer.py`` imports from it, and the benchmark's
-tracer finds its layers by function name, so a rename in ``gawb`` breaks
-them without breaking any other test.
+by identity and wraps ``Poly.__mul__`` and ``Poly.derive``, ``parse_layer.py``
+imports from it, and the benchmark's tracer finds its layers by function
+name, so a rename in ``gawb`` breaks them without breaking any other test.
 """
 
 import json
@@ -46,9 +46,12 @@ def test_script_runs(script, args):
     if script == "division_layer.py":
         # one reduction per derivation step: the bound-4 tower of x applies
         # the derivation 5 times (23 normal forms when each product and
-        # partial sum was reduced)
+        # partial sum was reduced), each in one Poly.derive call; only the
+        # first step, d(x) itself, is below the packed kernel's threshold
+        # and makes a Poly.__mul__ call
         calls = {row.split()[0]: row.split()[1] for row in out.splitlines()[2:]}
-        assert calls["groebner.normal_form"] == "5"
+        assert calls["groebner.normal_form"] == calls["Poly.derive"] == "5"
+        assert calls["Poly.__mul__"] == "1"
 
 
 def test_bench_selftest_passes():

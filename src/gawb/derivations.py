@@ -57,12 +57,12 @@ class Derivation:
         """d(p), the sum of d(v) * dp/dv over the variables v of p.
 
         When p and every image it uses are regular, ``Poly.derive`` sums
-        the numerators d(v) * dp/dv in one pass and the sum is reduced once.
-        The normal form is linear and ``groebner._divide`` writes the
-        remainder in pop order, so this is the representative that reducing
-        every product and partial sum gives.  Otherwise the terms are reduced and added
-        one at a time (the eager path), since there a partial sum that
-        cancels resets the denominator.
+        the numerators d(v) * dp/dv and the sum is reduced once.  The
+        normal form is linear and ``groebner._divide`` writes the remainder
+        in pop order, so this is the representative that reducing every
+        product and partial sum gives.  Otherwise the terms are reduced and
+        added one at a time (the eager path), since there a partial sum
+        that cancels resets the denominator.
         """
         used = []
         for v in p.variables():

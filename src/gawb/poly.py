@@ -8,14 +8,14 @@ an empty term dict.  Coefficients stay ``int`` until a division by a
 non-unit needs a ``Fraction``: ``invert_coeff`` keeps 1 and -1 integral, and
 products are formed in ``int`` over a common denominator.
 
-Products of two multi-term polynomials (``Poly.__mul__``) and derivation
-steps, the sum of images[v] * dp/dv (``Poly.derive``), run in one private
-kernel, ``_product_sum``, once they make ``_PACKED_MIN_PRODUCTS`` term
-products or more.  It packs each operand monomial once into an ``int`` with
-one biased bit field per variable, wide enough for that variable's
-exponents in any product, so a product monomial is the sum of two keys; it
-sums integer numerators on those keys and unpacks and divides back each
-output term once.  Everywhere else monomials keep the tuple layout above.
+A derivation step, the sum of images[v] * dp/dv (``Poly.derive``), runs in
+one private kernel, ``_product_sum``, when p and some image have two terms
+or more.  It packs each operand monomial once into an ``int`` with one
+biased bit field per variable, wide enough for that variable's exponents in
+any product, so a product monomial is the sum of two keys; it
+differentiates by subtracting a unit from a key, sums integer numerators on
+those keys and unpacks and divides back each output term once.  Everywhere
+else, ``Poly.__mul__`` included, monomials keep the tuple layout above.
 
 The monomial layout is private to this module.  Other modules build
 monomials with ``mono``, ``mono_from_map``, ``ONE_MONO`` and the ``mono_*``
@@ -338,8 +338,6 @@ class Poly:
             # one monomial factor keeps distinct monomials distinct
             ((m1, c1),) = a.items()
             return Poly._raw({mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
-        if len(a) * len(b) >= _PACKED_MIN_PRODUCTS:
-            return _product_sum(b, {None: a})
         # multiply in int over the common denominator, divide once at the end
         da, a = _int_scaled(a)
         db, b = _int_scaled(b)
@@ -422,12 +420,17 @@ class Poly:
     def derive(self, images: Mapping[str, "Poly"]) -> "Poly":
         """The sum over v of images[v] * d(self)/dv: the derivation with
         these images of the variables, applied to self (Laurent exponents
-        too).  A variable of self without an image maps to 0.  The packed
-        product kernel forms each derivative as it multiplies, so no
-        derivative polynomial is built; below ``_PACKED_MIN_PRODUCTS`` term
-        products the derivatives are multiplied and added one at a time."""
-        if len(self.terms) * sum(len(img.terms) for img in images.values()) >= _PACKED_MIN_PRODUCTS:
-            return _product_sum(self.terms, {v: img.terms for v, img in images.items()})
+        too).  A variable of self without an image maps to 0.  When self
+        and some image have two terms or more, the packed product kernel
+        forms each derivative as it multiplies, so no derivative polynomial
+        is built.  Otherwise every product is a monomial times a polynomial,
+        which ``Poly.__mul__`` forms with one ``mono_mul`` a term and no
+        common denominator, and the derivatives are multiplied and added
+        one at a time: the kernel's packing costs more there."""
+        if len(self.terms) > 1:
+            for img in images.values():
+                if len(img.terms) > 1:
+                    return _product_sum(self.terms, {v: img.terms for v, img in images.items()})
         total = Poly.zero()
         for v, img in images.items():
             total = total + img * self.differentiate(v)
@@ -517,16 +520,9 @@ def _int_over(n: int, den: int) -> Coeff:
     return Fraction(n, den) if r else q
 
 
-#: Below this many term products the packed kernel's layout, packing and
-#: unpacking cost more than the packed keys save, so ``Poly.__mul__`` and
-#: ``Poly.derive`` multiply monomial tuples instead.  Measured crossover on
-#: four-variable operands: 12 to 18 term products.
-_PACKED_MIN_PRODUCTS = 16
-
-
 def _product_sum(b: dict, factors: dict) -> Poly:
-    """The packed product kernel: the sum over (var, a) in factors of a * b,
-    or of a * db/dvar when var is not None, for term dicts a and b.
+    """The packed product kernel: the sum over (var, a) in factors of
+    a * db/dvar, for term dicts a and b.
 
     Layout: with lo_w <= 0 <= hi_w bounding the exponents of variable w over
     all operands, w gets a bit field biased by low_w = 2*lo_w - 1 and wide
@@ -577,18 +573,15 @@ def _product_sum(b: dict, factors: dict) -> Poly:
     d: dict = {}
     get = d.get
     for var, den, a in scaled:
-        if var is None:
-            rows = packed_b
-        elif var in fields:
-            s, mask, low = fields[var]
-            unit = 1 << s
-            rows = []
-            for k, c in packed_b:
-                e = (k >> s & mask) + low
-                if e:
-                    rows.append((k - unit, c * e))
-        else:
+        if var not in fields:
             continue  # var occurs in no operand, so db/dvar is 0
+        s, mask, low = fields[var]
+        unit = 1 << s
+        rows = []
+        for k, c in packed_b:
+            e = (k >> s & mask) + low
+            if e:
+                rows.append((k - unit, c * e))
         scale = da // den
         for m1, c1 in a.items():
             k1 = 0

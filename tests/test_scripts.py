@@ -47,8 +47,8 @@ def test_script_runs(script, args):
         # one reduction per derivation step: the bound-4 tower of x applies
         # the derivation 5 times (23 normal forms when each product and
         # partial sum was reduced), each in one Poly.derive call; only the
-        # first step, d(x) itself, is below the packed kernel's threshold
-        # and makes a Poly.__mul__ call
+        # first step, d(x) itself, has a single-term p, so it skips the
+        # packed kernel and makes a Poly.__mul__ call
         calls = {row.split()[0]: row.split()[1] for row in out.splitlines()[2:]}
         assert calls["groebner.normal_form"] == calls["Poly.derive"] == "5"
         assert calls["Poly.__mul__"] == "1"

@@ -62,7 +62,8 @@ class Derivation:
         in pop order, so this is the representative that reducing every
         product and partial sum gives.  Otherwise the terms are reduced and
         added one at a time (the eager path), since there a partial sum
-        that cancels resets the denominator.
+        that cancels resets the denominator.  A bare variable v maps to its
+        stored image, d(v), which is already reduced.
         """
         used = []
         for v in p.variables():
@@ -71,6 +72,8 @@ class Derivation:
                 raise ValueError(f"polynomial mentions {v!r} which has no image")
             if not img.is_zero():
                 used.append((v, img))
+        if len(used) == 1 and p == Poly.variable(used[0][0]):
+            return used[0][1]
         if p.is_regular() and all(img.is_regular() for _, img in used):
             total = p.derive({v: img.numer for v, img in used})
             return self.ring._make(total, (0,) * len(self.ring.inverted))

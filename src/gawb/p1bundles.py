@@ -8,6 +8,14 @@ pair g (polynomial in u) and h (polynomial in u^-1) with M.g = h.
 Splitting types are computed two independent ways: a Birkhoff factorization
 M = L * diag(u^e1, u^e2) * R with L invertible over C[u^-1] and R invertible
 over C[u], and an h^0 scan of twists.  The summand twists are (-e1, -e2).
+
+The factorization is the row-reduced form of M on u-valuations (Wolovich's
+row-reduced form, read at u = 0 rather than at infinity).  While the rows'
+lowest-order coefficient vectors are parallel, one loop adds a C[u^-1]
+multiple of one row to the other, the row of smaller valuation, which
+cancels its lowest-order vector.  Each step raises that row's valuation by
+at least 1, and the two valuations sum to at most the determinant's
+exponent, so the determinant bounds the number of steps.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from . import catalog
 from .derivations import exponential, residual
@@ -28,10 +36,6 @@ U = "u"
 
 
 class NonMonomialDeterminantError(ValueError):
-    pass
-
-
-class ReductionBudgetExceeded(RuntimeError):
     pass
 
 
@@ -122,14 +126,13 @@ class TransitionMatrix2:
             for p in row:
                 if p.variables() - {U}:
                     raise ValueError("matrix entries must be Laurent polynomials in u")
-        if self.det().is_zero() or not self.det().is_single_term():
+        if not _mat_det(self.entries).is_single_term():
             raise NonMonomialDeterminantError(
                 "transition matrix must have a nonzero monomial determinant"
             )
 
     def det(self) -> Poly:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
+        return _mat_det(self.entries)
 
     @property
     def det_exponent(self) -> int:
@@ -186,13 +189,6 @@ def _mat_det(A) -> Poly:
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
 
-def _transpose(A):
-    return ((A[0][0], A[1][0]), (A[0][1], A[1][1]))
-
-
-_IDENT = ((Poly.const(1), Poly.zero()), (Poly.zero(), Poly.const(1)))
-
-
 def _is_regular_u(A) -> bool:
     return all(p.is_regular((U,)) for row in A for p in row)
 
@@ -243,107 +239,39 @@ class BirkhoffFactorization:
         )
 
 
-def _birkhoff_core(M: tuple, budget: int) -> Tuple[tuple, Tuple[int, int], tuple]:
-    """Factor M = P * diag * Q with P in GL2(C[u]) and Q in GL2(C[u^-1])."""
-    lo = min(0, *(p.exponent_range(U)[0] for row in M for p in row))
-    T = [[_u_power(p, -lo) for p in row] for row in M]
-    P = [list(r) for r in _IDENT]
-    Q = [list(r) for r in _IDENT]
+def birkhoff_split(M: TransitionMatrix2) -> BirkhoffFactorization:
+    """Exact factorization M = left * diag(u^v0, u^v1) * right by row
+    reduction on u-valuations; raises if the validity check fails.
 
-    def row_op(i, j, f):
-        # T_i += f * T_j ; P absorbs the inverse
-        T[i][0] = T[i][0] + f * T[j][0]
-        T[i][1] = T[i][1] + f * T[j][1]
-        P[0][j] = P[0][j] - f * P[0][i]
-        P[1][j] = P[1][j] - f * P[1][i]
-
-    def row_swap():
-        T[0], T[1] = T[1], T[0]
-        P[0][0], P[0][1] = P[0][1], P[0][0]
-        P[1][0], P[1][1] = P[1][1], P[1][0]
-
-    def row_scale(i, c):
-        T[i][0] = T[i][0].scale(c)
-        T[i][1] = T[i][1].scale(c)
-        inv = invert_coeff(c)
-        P[0][i] = P[0][i].scale(inv)
-        P[1][i] = P[1][i].scale(inv)
-
-    def col_op(j, i, g):
-        # col_j += g * col_i ; Q absorbs the inverse
-        T[0][j] = T[0][j] + g * T[0][i]
-        T[1][j] = T[1][j] + g * T[1][i]
-        Q[i][0] = Q[i][0] - g * Q[j][0]
-        Q[i][1] = Q[i][1] - g * Q[j][1]
-
-    def hermite():
-        # clear T[1][0] by left C[u] operations (univariate Euclid on column 1)
-        while not T[1][0].is_zero():
-            if T[0][0].is_zero():
-                row_swap()
-                continue
-            d0 = T[0][0].exponent_range(U)[1]
-            d1 = T[1][0].exponent_range(U)[1]
-            if d1 < d0:
-                row_swap()
-                continue
-            c0 = T[0][0].coeff_of(mono(u=d0))
-            c1 = T[1][0].coeff_of(mono(u=d1))
-            q = Poly.monomial(mono(u=d1 - d0), -Fraction(c1) / Fraction(c0))
-            row_op(1, 0, q)
-
-    steps = 0
+    Row i has valuation v_i, its least u-exponent, and trailing vector t_i,
+    its coefficients at u^v_i.  Once t_0 and t_1 are independent, right is
+    diag(u^-v0, u^-v1) times the rows: regular in u with an invertible value
+    at u = 0, so its monomial determinant is a constant.  Otherwise
+    t_b = mu * t_a, where b is the row of smaller valuation (row 0 on a
+    tie), and row_b += f * row_a with f = -mu * u^(v_b - v_a) in C[u^-1]
+    cancels t_b, so v_b rises by at least 1.  left, the product of the
+    inverse steps, stays in GL2(C[u^-1]).  The rows' valuations sum to at
+    most the determinant exponent e, so the loop stops within
+    e - (v0 + v1) steps of the input's valuations.
+    """
+    rows = [list(row) for row in M.entries]
+    left = [[Poly.const(1), Poly.zero()], [Poly.zero(), Poly.const(1)]]
     while True:
-        steps += 1
-        if steps > budget:
-            raise ReductionBudgetExceeded(f"Birkhoff reduction exceeded {budget} steps")
-        hermite()
-        for idx in (0, 1):
-            diag = T[idx][idx]
-            if diag.is_zero() or not diag.is_single_term():
-                raise AssertionError("diagonal entries must be monomials when det is monomial")
-        c0 = T[0][0].single_term()[1]
-        if c0 != 1:
-            row_scale(0, invert_coeff(c0))
-        c1 = T[1][1].single_term()[1]
-        if c1 != 1:
-            row_scale(1, invert_coeff(c1))
-        i = T[0][0].exponent_range(U)[0]
-        k = T[1][1].exponent_range(U)[0]
-        beta = T[0][1]
-        # clear exponents >= k through row 2, then exponents <= i through column 1
-        high = beta.select(U, k)
-        if not high.is_zero():
-            row_op(0, 1, -_u_power(high, -k))
-        beta = T[0][1]
-        low = beta.select(U, hi=i)
-        if not low.is_zero():
-            col_op(1, 0, -_u_power(low, -i))
-        beta = T[0][1]
-        if beta.is_zero():
+        vals = [min(p.exponent_range(U)[0] for p in row if not p.is_zero()) for row in rows]
+        trail = [[p.coeff_of(mono(u=v)) for p in row] for row, v in zip(rows, vals)]
+        (p0, p1), (q0, q1) = trail
+        if p0 * q1 != p1 * q0:
             break
-        # mix: kill the lowest surviving term and retry with larger valuation
-        t_exp = beta.exponent_range(U)[0]
-        b = beta.coeff_of(mono(u=t_exp))
-        col_op(0, 1, Poly.monomial(mono(u=i - t_exp), -invert_coeff(b)))
-
-    e1 = T[0][0].exponent_range(U)[0] + lo
-    e2 = T[1][1].exponent_range(U)[0] + lo
-    return (
-        tuple(tuple(r) for r in P),
-        (e1, e2),
-        tuple(tuple(r) for r in Q),
-    )
-
-
-def birkhoff_split(M: TransitionMatrix2, budget: Optional[int] = None) -> BirkhoffFactorization:
-    """Exact factorization M = left * D * right; raises if validity fails."""
-    if budget is None:
-        budget = 10 * max(M.exponent_spread(), 1) + 16
-    P, exps, Q = _birkhoff_core(_transpose(M.entries), budget)
-    left = _transpose(Q)
-    right = _transpose(P)
-    fac = BirkhoffFactorization(M, left, exps, right)
+        b = 0 if vals[0] <= vals[1] else 1
+        a = 1 - b
+        k = 0 if trail[a][0] else 1
+        shift = mono(u=vals[b] - vals[a])
+        c = -trail[b][k] * invert_coeff(trail[a][k])
+        rows[b] = [p + q.mul_monomial(shift, c) for p, q in zip(rows[b], rows[a])]
+        for row in left:  # column a of left -= f * column b
+            row[a] = row[a] + row[b].mul_monomial(shift, -c)
+    right = tuple(tuple(_u_power(p, -v) for p in row) for row, v in zip(rows, vals))
+    fac = BirkhoffFactorization(M, tuple(map(tuple, left)), tuple(vals), right)
     _validate_factorization(fac)
     return fac
 

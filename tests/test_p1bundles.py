@@ -20,7 +20,7 @@ from gawb.p1bundles import (
     u_poly,
     verify_trivialization,
 )
-from gawb.poly import Poly, mono, mono_exp
+from gawb.poly import Poly, mono, mono_exp, render_poly
 
 
 def test_gd_multiplication():
@@ -95,14 +95,52 @@ def test_birkhoff_examples():
     assert birkhoff_split(diag).splitting == SplittingType(1, -3)
 
 
-def test_birkhoff_budget_raises_typed_error():
-    """This matrix takes five reduction steps: a budget of four raises
-    ReductionBudgetExceeded, and five or the default budget succeed."""
+def test_birkhoff_mixed_laurent_entry():
+    """A Laurent tail in the corner entry takes several reduction steps."""
     M = TransitionMatrix2.from_json([["u^2", "u^-1 + 2*u^-2 + 2*u^-3 + 2*u^-4"], ["0", "u^2"]])
-    with pytest.raises(p1bundles.ReductionBudgetExceeded, match="exceeded 4 steps"):
-        birkhoff_split(M, budget=4)
-    assert birkhoff_split(M, budget=5).splitting == SplittingType(-2, -2)
     assert birkhoff_split(M).splitting == SplittingType(-2, -2) == splitting_by_h0_scan(M)
+
+
+@pytest.mark.parametrize("rows, exponents, left", [
+    # row 0 has the smaller valuation and is reduced
+    ([["u^-1", "1"], ["1", "2*u"]], (0, 0), [["1", "u^-1"], ["0", "1"]]),
+    # row 1 has the smaller valuation and is reduced
+    ([["1", "2*u"], ["u^-1", "1"]], (0, 0), [["1", "0"], ["u^-1", "1"]]),
+    # equal valuations: row 0 is reduced
+    ([["1", "0"], ["1", "u"]], (1, 0), [["1", "1"], ["0", "1"]]),
+    # parallel trailing vectors with both entries nonzero, ratio 1/3
+    ([["1", "2"], ["3", "6 + u"]], (1, 0), [["1", "1/3"], ["0", "1"]]),
+    # the pivot row's trailing vector starts with 0
+    ([["u", "1"], ["0", "1"]], (1, 0), [["1", "1"], ["0", "1"]]),
+])
+def test_birkhoff_reduction_branches(rows, exponents, left):
+    M = TransitionMatrix2.from_json(rows)
+    fac = birkhoff_split(M)
+    assert fac.exponents == exponents
+    assert [[render_poly(p) for p in row] for row in fac.left] == left
+    assert fac.splitting == splitting_by_h0_scan(M)
+
+
+def test_birkhoff_on_sheared_extension_grid():
+    """[[1, c u^-e], [0, 1]] * [[u^(m+n), u^m], [0, 1]] * [[1, 0], [d u^l, 1]]
+    has the splitting type (-n, -m) of the middle factor."""
+    rng = random.Random(4417)
+    for _ in range(16):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        c = rng.choice([1, -1, 2, -3, Fraction(1, 2)])
+        d = rng.choice([1, -1, 3, Fraction(-2, 3)])
+        e, l = rng.randint(0, 3), rng.randint(0, 3)
+        one, zero = Poly.const(1), Poly.zero()
+        L = ((one, Poly.monomial(mono(u=-e), c)), (zero, one))
+        R = ((one, zero), (Poly.monomial(mono(u=l), d), one))
+        prod = L
+        for B in (transition_matrix(m, n).entries, R):
+            prod = tuple(tuple(prod[i][0] * B[0][j] + prod[i][1] * B[1][j] for j in range(2))
+                         for i in range(2))
+        M = TransitionMatrix2(prod)
+        split = birkhoff_split(M).splitting
+        assert (split.a1, split.a2) == (-min(m, n), -max(m, n)), (m, n, c, d, e, l)
+        assert split == splitting_by_h0_scan(M)
 
 
 def test_splitting_sum_matches_determinant():

@@ -46,12 +46,12 @@ def test_script_runs(script, args):
     if script == "division_layer.py":
         # one reduction per derivation step: the bound-4 tower of x applies
         # the derivation 5 times (23 normal forms when each product and
-        # partial sum was reduced), each in one Poly.derive call; only the
-        # first step, d(x) itself, has a single-term p, so it skips the
-        # packed kernel and makes a Poly.__mul__ call
+        # partial sum was reduced).  The first step, d(x) itself, returns
+        # x's stored image; each of the other 4 has a multi-term p and makes
+        # one Poly.derive call in the packed kernel, so none calls __mul__
         calls = {row.split()[0]: row.split()[1] for row in out.splitlines()[2:]}
-        assert calls["groebner.normal_form"] == calls["Poly.derive"] == "5"
-        assert calls["Poly.__mul__"] == "1"
+        assert calls["groebner.normal_form"] == calls["Poly.derive"] == "4"
+        assert calls["Poly.__mul__"] == "0"
 
 
 def test_bench_selftest_passes():
@@ -66,3 +66,5 @@ def test_traced_bench_round_finds_its_layers():
     result = json.loads(out.splitlines()[-1])
     assert result["failed"] == result["wrong"] == 0
     assert result["layers"]["groebner.normal_form.calls"] > 0
+    # the tracer wraps birkhoff_split by its module attribute name
+    assert result["layers"]["p1bundles.birkhoff_split.s"] > 0

@@ -11,24 +11,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .derivations import ActionMap, Derivation, compose_actions, exponential, extend_with_params
 from .parse import parse_poly
-from .poly import Poly, mono, mono_from_map
+from .poly import Mono, Poly, mono, mono_from_map
 from .quotient import AlgebraPresentation, PolyLike, RingElement
 
 XMN_VARS = ("x", "y", "u", "v")
+
+
+@lru_cache(maxsize=1024)
+def _relation_leads(m: int, n: int, fiber: str) -> Tuple[Mono, Mono]:
+    """x^m * fiber and y^n * u, built once per (m, n, fiber): the affineness
+    certificate builds one relation per p, over a few (m, n) only."""
+    return mono_from_map({"x": m, fiber: 1}), mono_from_map({"y": n, "u": 1})
 
 
 def xmnp_relation(m: int, n: int, p: Poly, fiber: str = "v") -> Poly:
     """x^m * fiber - y^n * u - p, for p free of u and the fiber variable."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    x_lead, y_lead = _relation_leads(m, n, fiber)
     terms = {mo: -c for mo, c in p.terms.items()}
-    terms[mono_from_map({"x": m, fiber: 1})] = 1
-    terms[mono_from_map({"y": n, "u": 1})] = -1
-    return Poly(terms)
+    terms[x_lead] = 1
+    terms[y_lead] = -1
+    return Poly._raw(terms)  # no term is zero: each is -c, 1 or -1
 
 
 def xmnp_presentation(

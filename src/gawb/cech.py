@@ -7,20 +7,29 @@ charts and hence a coboundary.  Nontrivial classes have a unique normal form
 p(x, y) * x^-m y^-n with deg_x p < m, deg_y p < n, and each of these
 determines a hypersurface total space together with an affineness
 certificate computed by the Case 1 / Case 2 transform recursion.
+
+``affineness_certificate`` runs that transform in one walk over the terms of
+p: it reads each term's cell (x-exponent, y-exponent) once, picks the Case 2
+power b and the Case 1 multiplicity a from the cells, and builds every
+shifted monomial through small bounded tables (``functools.lru_cache``)
+keyed by exponents or by a monomial and a shift, so a sweep over one (m, n)
+box reads and builds each of its monomials once.  The witness check reads
+the relation alone and does not share the walk's cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import catalog
 from .derivations import Derivation
 from .parse import parse_poly
 from .poly import (
-    ONE_MONO, Coeff, Poly, invert_coeff, mono, mono_degree, mono_exp, mono_factors, mono_from_map,
-    mono_mul,
+    ONE_MONO, Coeff, Mono, Poly, invert_coeff, mono, mono_degree, mono_exp, mono_factors,
+    mono_from_map, mono_mul,
 )
 from .quotient import (
     AlgebraPresentation,
@@ -202,6 +211,40 @@ class CertificateError(RuntimeError):
     pass
 
 
+# Monomial tables of the certificate: every monomial it reads is a cell
+# x^i * y^j of p, and every monomial it builds is a cell shifted by a power of
+# y or x, a fiber lead x^k * fiber, or a witness monomial times x^a.  A sweep
+# block meets the same few of them for every p, so each is read or built
+# once, through the ``poly`` accessors and constructors.
+
+
+@lru_cache(maxsize=1024)
+def _cell_of(mo: Mono) -> Tuple[int, int]:
+    """(i, j) for the cell x^i * y^j; only x and y occur (NormalFormMNP)."""
+    i = j = 0
+    for v, e in mono_factors(mo):
+        if v == "x":
+            i = e
+        else:
+            j = e
+    return i, j
+
+
+@lru_cache(maxsize=1024)
+def _cell(i: int, j: int) -> Mono:
+    return mono(x=i, y=j)
+
+
+@lru_cache(maxsize=1024)
+def _fiber_lead(k: int, fiber: str) -> Mono:
+    return mono_from_map({"x": k, fiber: 1})
+
+
+@lru_cache(maxsize=1024)
+def _x_shift(mo: Mono, a: int) -> Mono:
+    return mono_mul(mo, mono(x=a))
+
+
 def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     """Run the Case 1 / Case 2 transform for X(m, n, p).
 
@@ -213,40 +256,53 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     recording the transform witness (x^(m-a) * fiber - q0) / y together with
     its witness power a, the least k such that witness * x^k lies in the
     coordinate ring (certified by ``_check_case1_witness``).
+
+    One walk over p reads each term's cell (i, j), its x- and y-exponents.
+    b is the least j, the terms with j = b form p0 (the y-free part after
+    the Case 2 strip), and a is the least i among them.  The stripped p, q0
+    and the witness are assembled from the cells in p's term order through
+    the monomial tables above, and the relation x^m * fiber - y^(n-b) * u -
+    p / y^b is built once and shared by both steps.
     """
     m, n, p = nf.m, nf.n, nf.p
-    if p.coeff_of(ONE_MONO) != 0:
+    cells = []
+    a, b = m, n  # above every exponent: deg_x p < m and deg_y p < n
+    for mo, c in p.terms.items():
+        i, j = _cell_of(mo)
+        cells.append((i, j, c))
+        if j < b:
+            a, b = i, j
+        elif j == b and i < a:
+            a = i
+    if not (a or b):
         return AffinenessCertificate(m, n, p, (), "HypersurfaceInA4")
 
-    trace: List[Union[Case1Step, Case2Step]] = []
     fiber, cur_n, cur_p = "v", n, p
-    if cur_p.select("y", 0, 0).is_zero():
+    if b:
         # Case 2: strip y^b (b < n because deg_y p < n)
-        b = p.exponent_range("y")[0]
-        fiber, cur_n, cur_p = "w", n - b, p.mul_monomial(mono(y=-b))
-        trace.append(
-            Case2Step(
-                b=b, new_n=cur_n, new_p=cur_p,
-                old_fiber_var="v", new_fiber_var=fiber,
-                relation=catalog.xmnp_relation(m, cur_n, cur_p, fiber),
-            )
-        )
+        fiber, cur_n = "w", n - b
+        cur_p = Poly._raw({_cell(i, j - b): c for i, j, c in cells})
     # Case 1: p0 = x^a q0, q0(0) != 0
-    p0 = cur_p.select("y", 0, 0)
-    a = p0.exponent_range("x")[0]
-    q0 = p0.mul_monomial(mono(x=-a)) if a else p0
-    if q0.coeff_of(ONE_MONO) == 0:
+    q0 = Poly._raw({_cell(i - a, 0): c for i, j, c in cells if j == b})
+    if ONE_MONO not in q0.terms:
         raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
     relation = catalog.xmnp_relation(m, cur_n, cur_p, fiber)
-    witness = Poly.monomial(mono_from_map({"x": m - a, fiber: 1})) - q0
+    witness = Poly._raw({_fiber_lead(m - a, fiber): 1, **{mo: -c for mo, c in q0.terms.items()}})
     _check_case1_witness(witness, a, m, relation, fiber)
-    trace.append(
-        Case1Step(
-            a=a, q0=q0, fiber_var=fiber, relation=relation,
-            witness_numer=witness, witness_power=a,
-        )
+    case1 = Case1Step(
+        a=a, q0=q0, fiber_var=fiber, relation=relation,
+        witness_numer=witness, witness_power=a,
     )
-    return AffinenessCertificate(m, n, p, tuple(trace), "UnitCertificate", q0=q0)
+    trace = (case1,)
+    if b:
+        trace = (
+            Case2Step(
+                b=b, new_n=cur_n, new_p=cur_p,
+                old_fiber_var="v", new_fiber_var=fiber, relation=relation,
+            ),
+            case1,
+        )
+    return AffinenessCertificate(m, n, p, trace, "UnitCertificate", q0=q0)
 
 
 def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: str) -> None:
@@ -263,14 +319,16 @@ def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: s
       of f has total degree at most m.  Then no term of witness * x^(a-1)
       is divisible by y or by lm(f), so it is its own nonzero normal form;
       the same holds for every smaller power of x, so no k < a works.
+
+    f is read off the relation, not off the cells of p the certificate
+    walked, so the check does not share the walk's arithmetic.
     """
-    shift = mono(x=a)
     f = relation.select("y", 0, 0).terms
     if len(f) != len(witness.terms) or any(
-        f.get(mono_mul(mo, shift)) != c for mo, c in witness.terms.items()
+        f.get(_x_shift(mo, a)) != c for mo, c in witness.terms.items()
     ):
         raise CertificateError("Case 1 transform identity failed")
-    lead = mono_from_map({"x": m, fiber: 1})
+    lead = _fiber_lead(m, fiber)
     if lead not in f or any(mono_degree(mo) > m for mo in f if mo != lead):
         raise CertificateError("Case 1 relation does not lead with x^m * fiber")
 

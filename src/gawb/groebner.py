@@ -88,6 +88,10 @@ def _divide(
     term that cancels leaves its entry behind, and a popped entry whose
     monomial is no longer in ``work`` is stale and skipped; a term that
     cancels and comes back has two entries, the second of them stale.
+
+    When no leading monomial divides any term of p (no divisors at all, or a
+    p already reduced), p is its own remainder and is returned before any
+    heap is built, its terms in the descending order the loop pops them.
     """
     heap_key = order.heap_key
     if leads is None:
@@ -96,8 +100,11 @@ def _divide(
         (li[0], li[1], d, None if quotients is None else quotients[i])
         for i, (d, li) in enumerate(zip(divisors, leads)) if li is not None
     ]
+    terms = p.terms
+    if not any(mono_divides(li[0], m) for li in lead for m in terms):
+        return Poly._raw({m: terms[m] for m in order.sorted_monos(terms)})
     remainder: dict = {}
-    work = dict(p.terms)
+    work = dict(terms)
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -129,7 +136,7 @@ def _divide(
                 break
         else:
             remainder[m] = c
-    return Poly(remainder)
+    return Poly._raw(remainder)  # a popped term is never zero
 
 
 def reduce_poly(

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from gawb import catalog
 from gawb.cech import (
     ActionCocycleError,
+    AffinenessCertificate,
     Case1Step,
     Case2Step,
     CertificateError,
@@ -22,7 +25,8 @@ from gawb.cech import (
 from gawb.derivations import descends_to_quotient
 from gawb.groebner import buchberger, normal_form
 from gawb.parse import parse_poly as pp
-from gawb.poly import Poly, TermOrder, mono
+from gawb.poly import ONE_MONO, Poly, TermOrder, mono, mono_degree, mono_from_map, mono_mul
+from gawb.sweeps import iter_sweep_polys
 
 from conftest import polys
 
@@ -239,6 +243,108 @@ def test_case1_witness_check_rejects_bad_certificates():
     assert witness * Poly.variable("x") == pp("x^2*v - x - x^4")
     with pytest.raises(CertificateError, match="lead"):
         _check_case1_witness(witness, 1, 2, relation, "v")
+
+
+def _reference_affineness_certificate(nf: NormalFormMNP):
+    """The certificate as a sequence of whole-polynomial operations: select
+    the y-free part, read exponent ranges, shift with ``mul_monomial``, and
+    build the relation for each step."""
+    m, n, p = nf.m, nf.n, nf.p
+    if p.coeff_of(ONE_MONO) != 0:
+        return AffinenessCertificate(m, n, p, (), "HypersurfaceInA4")
+    trace = []
+    fiber, cur_n, cur_p = "v", n, p
+    if cur_p.select("y", 0, 0).is_zero():
+        b = p.exponent_range("y")[0]
+        fiber, cur_n, cur_p = "w", n - b, p.mul_monomial(mono(y=-b))
+        trace.append(
+            Case2Step(
+                b=b, new_n=cur_n, new_p=cur_p,
+                old_fiber_var="v", new_fiber_var=fiber,
+                relation=catalog.xmnp_relation(m, cur_n, cur_p, fiber),
+            )
+        )
+    p0 = cur_p.select("y", 0, 0)
+    a = p0.exponent_range("x")[0]
+    q0 = p0.mul_monomial(mono(x=-a)) if a else p0
+    if q0.coeff_of(ONE_MONO) == 0:
+        raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
+    relation = catalog.xmnp_relation(m, cur_n, cur_p, fiber)
+    witness = Poly.monomial(mono_from_map({"x": m - a, fiber: 1})) - q0
+    _reference_check_case1_witness(witness, a, m, relation, fiber)
+    trace.append(
+        Case1Step(
+            a=a, q0=q0, fiber_var=fiber, relation=relation,
+            witness_numer=witness, witness_power=a,
+        )
+    )
+    return AffinenessCertificate(m, n, p, tuple(trace), "UnitCertificate", q0=q0)
+
+
+def _reference_check_case1_witness(witness, a, m, relation, fiber):
+    shift = mono(x=a)
+    f = relation.select("y", 0, 0).terms
+    if len(f) != len(witness.terms) or any(
+        f.get(mono_mul(mo, shift)) != c for mo, c in witness.terms.items()
+    ):
+        raise CertificateError("Case 1 transform identity failed")
+    lead = mono_from_map({"x": m, fiber: 1})
+    if lead not in f or any(mono_degree(mo) > m for mo in f if mo != lead):
+        raise CertificateError("Case 1 relation does not lead with x^m * fiber")
+
+
+def _as_data(obj):
+    """Every field of a certificate and of its steps; a polynomial becomes
+    its term list in insertion order, with each coefficient's type."""
+    if isinstance(obj, Poly):
+        return [(mo, c, type(c)) for mo, c in obj.terms.items()]
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, [(f.name, _as_data(getattr(obj, f.name))) for f in dataclasses.fields(obj)]
+    if isinstance(obj, tuple):
+        return [_as_data(x) for x in obj]
+    return obj, type(obj)
+
+
+def _certificate_samples():
+    """(m, n, p) for every block with m, n <= 5: a seeded sample of the
+    block's sweep polynomials, the a- and b-targeted draws of the witness
+    power test, seeded draws with Fraction coefficients, and draws with a
+    constant term (the base case)."""
+    rng = random.Random(18)
+    yield from _witness_power_samples()
+    for m in range(1, 6):
+        for n in range(1, 6):
+            if m * n == 1:
+                continue
+            swept = list(itertools.islice(iter_sweep_polys(m, n), 3000))
+            for p in rng.sample(swept, min(len(swept), 30)):
+                yield m, n, p
+            cells = [(i, j) for i in range(m) for j in range(n)]
+            for k in range(12):
+                terms = {}
+                for i, j in cells:
+                    if rng.random() < 0.4:
+                        terms[mono(x=i, y=j)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+                if k % 3 == 0:
+                    terms[ONE_MONO] = rng.choice((-2, 1, Fraction(1, 2)))
+                elif k % 3 == 1:
+                    terms.pop(ONE_MONO, None)
+                if any(terms.values()):
+                    yield m, n, Poly(terms)
+
+
+def test_certificate_matches_reference():
+    seen = set()
+    for m, n, p in _certificate_samples():
+        nf = NormalFormMNP(m, n, p)
+        cert = affineness_certificate(nf)
+        assert _as_data(cert) == _as_data(_reference_affineness_certificate(nf)), (m, n, p)
+        seen.add(cert.outcome)
+        seen.update(type(s).__name__ for s in cert.trace)
+        seen.update(type(c).__name__ for c in p.terms.values())
+        seen.add((m, n))
+    assert {"HypersurfaceInA4", "UnitCertificate", "Case1Step", "Case2Step", "int", "Fraction"} <= seen
+    assert all((m, n) in seen for m in range(1, 6) for n in range(1, 6) if m * n > 1)
 
 
 def test_certificate_respects_step_bound():

@@ -178,6 +178,52 @@ def test_heap_division_matches_reference():
     assert seen == {"lex", "degrevlex", "int", "fraction", "unit leads", "other leads", "zero divisor"}
 
 
+def _irreducible_division_inputs(count=120):
+    """(p, divisors, order, divisible): seeded p over 2 or 3 variables and
+    divisor lists, some empty or holding a zero divisor.  Half of the p keep
+    only terms that no leading monomial divides, so the division returns
+    early; the other half keep one divisible term, so it runs the loop."""
+    rng = random.Random(3000)
+    for k in range(count):
+        variables = ("x", "y", "z")[: rng.randint(2, 3)]
+        order = TermOrder(("lex", "degrevlex")[k % 2], variables)
+        ints = k % 4 < 2
+        divisors = [_small_poly(rng, variables, 3, 3, ints) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.3:
+            divisors.insert(rng.randint(0, len(divisors)), Poly.zero())
+        leads = [leading_term(d, order)[0] for d in divisors if not d.is_zero()]
+        p = _small_poly(rng, variables, 6, 4, ints)
+        kept = {m: c for m, c in p.terms.items() if not any(mono_divides(lm, m) for lm in leads)}
+        divisible = k % 2 == 1 and len(kept) < len(p.terms)
+        if divisible:
+            m = next(m for m in p.terms if m not in kept)
+            kept[m] = p.terms[m]
+        if kept:
+            yield Poly(kept), divisors, order, divisible
+
+
+def test_early_return_matches_heap_loop():
+    """A p that nothing divides comes back at once, sorted as the loop pops
+    it: the same remainder, term order and (empty) quotients as the
+    reference loop; a p with a divisible term still runs the loop."""
+    seen = set()
+    for p, divisors, order, divisible in _irreducible_division_inputs():
+        ref_q = [{} for _ in divisors]
+        ref_r = _reference_divide(p, divisors, order, ref_q)
+        got_q = [{} for _ in divisors]
+        got_r = _divide(p, divisors, order, got_q)
+        assert list(got_r.terms.items()) == list(ref_r.terms.items())
+        assert [list(q.items()) for q in got_q] == [list(q.items()) for q in ref_q]
+        assert list(_divide(p, divisors, order).terms.items()) == list(ref_r.terms.items())
+        if not divisible:
+            assert got_r == p and not any(got_q)
+            assert list(got_r.terms) == order.sorted_monos(p.terms)
+        seen.add("divisible" if divisible else "irreducible")
+        seen.add("divisors" if any(d.terms for d in divisors) else "no divisors")
+        seen.add(order.kind)
+    assert seen == {"divisible", "irreducible", "no divisors", "divisors", "lex", "degrevlex"}
+
+
 def _divides(a, b):
     db = dict(b)
     return all(0 < e <= db.get(v, 0) for v, e in a)

@@ -66,5 +66,7 @@ def test_traced_bench_round_finds_its_layers():
     result = json.loads(out.splitlines()[-1])
     assert result["failed"] == result["wrong"] == 0
     assert result["layers"]["groebner.normal_form.calls"] > 0
-    # the tracer wraps birkhoff_split by its module attribute name
+    # the tracer wraps birkhoff_split and affineness_certificate by their
+    # module attribute names, so a caller that bypasses one zeroes its layer
     assert result["layers"]["p1bundles.birkhoff_split.s"] > 0
+    assert result["layers"]["cech.affineness_certificate.self_s"] > 0

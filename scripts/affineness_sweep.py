@@ -4,8 +4,10 @@
 Enumerates every nonzero p with deg_x p < m, deg_y p < n, p(0,0) = 0 and
 integer coefficients in a small box, runs the Case 1 / Case 2 recursion, and
 verifies each certificate (step bound, terminal q0, witness power).  Each
-block reports its wall time and the microseconds per certificate spent
-inside ``affineness_certificate``.
+block reports its wall time and the microseconds per certificate spent in
+``NormalFormMNP(m, n, p)`` and ``affineness_certificate`` together: the
+constructor's validating walk reads the cells of p that the certificate
+uses, so the two are timed as one.
 """
 
 import argparse

@@ -8,13 +8,22 @@ p(x, y) * x^-m y^-n with deg_x p < m, deg_y p < n, and each of these
 determines a hypersurface total space together with an affineness
 certificate computed by the Case 1 / Case 2 transform recursion.
 
-``affineness_certificate`` runs that transform in one walk over the terms of
-p: it reads each term's cell (x-exponent, y-exponent) once, picks the Case 2
-power b and the Case 1 multiplicity a from the cells, and builds every
-shifted monomial through small bounded tables (``functools.lru_cache``)
-keyed by exponents or by a monomial and a shift, so a sweep over one (m, n)
-box reads and builds each of its monomials once.  The witness check reads
-the relation alone and does not share the walk's cells.
+One walk over the terms of p serves both the normal form and its
+certificate.  ``NormalFormMNP`` validates p by reading each term's cell
+(x-exponent, y-exponent) through a small bounded table
+(``functools.lru_cache``) and keeps the cells it read, with deg_y p;
+``affineness_certificate`` picks the Case 2 power b and the Case 1
+multiplicity a from those cells instead of walking p again, and builds every
+shifted monomial through more such tables, keyed by exponents or by a
+monomial and a shift, so a sweep over one (m, n) box reads and builds each
+of its monomials once.  The witness check reads the relation alone and does
+not share the walk's cells.
+
+The normal form, the certificate and its steps are slotted dataclasses, not
+frozen ones: each holds a ``Poly``, which is immutable by convention and
+cannot be hashed, so freezing gave them no hash, and it made each
+construction two to three times slower.  A ``NormalFormMNP`` whose field is
+reassigned validates the new value before its cells are read again.
 """
 
 from __future__ import annotations
@@ -114,42 +123,97 @@ def is_coboundary(g: Poly, x: str = "x", y: str = "y") -> Tuple[bool, Optional[T
     return True, (g_plus, g_minus)
 
 
-@dataclass(frozen=True)
-class NormalFormMNP:
-    """Cocycle normal form p(x,y) x^-m y^-n with deg_x p < m, deg_y p < n."""
+class _ValidatedWalk:
+    """The slot in which ``NormalFormMNP`` keeps its validating walk over p.
+    A slot of a base class, so it is not a dataclass field."""
+
+    __slots__ = ("_walk",)
+
+
+@dataclass(slots=True)
+class NormalFormMNP(_ValidatedWalk):
+    """Cocycle normal form p(x,y) x^-m y^-n with deg_x p < m, deg_y p < n.
+
+    The constructor validates p in one walk over its terms and keeps what it
+    read: the cell (i, j, c) of each term c * x^i * y^j, in p's term order,
+    and deg_y p.  ``cells`` and ``deg_y`` return them, and walk again only
+    when a field was reassigned since.
+    """
 
     m: int
     n: int
     p: Poly
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+        m, n, p = self.m, self.n, self.p
+        if m < 1 or n < 1:
             raise ValueError("m, n must be >= 1")
-        if self.p.is_zero():
+        if not p.terms:
             raise ValueError("p must be nonzero")
-        # one pass over the terms; a negative exponent outranks the checks
-        # after the pass (other variables, then the degree bounds)
-        extra = set()
+        cells = []
         deg_x = deg_y = 0
-        for mo in self.p.terms:
-            for v, e in mono_factors(mo):
-                if e < 0:
-                    raise ValueError("p must be a regular polynomial")
-                if v == "x":
-                    if e > deg_x:
-                        deg_x = e
-                elif v == "y":
-                    if e > deg_y:
-                        deg_y = e
-                else:
-                    extra.add(v)
-        if extra:
-            raise ValueError(f"p mentions {sorted(extra)}")
-        if deg_x >= self.m or deg_y >= self.n:
+        for mo, c in p.terms.items():
+            cell = _cell_of(mo)
+            if cell is None:
+                _reject_non_cell(p)
+            i, j = cell
+            cells.append((i, j, c))
+            if i > deg_x:
+                deg_x = i
+            if j > deg_y:
+                deg_y = j
+        if deg_x >= m or deg_y >= n:
             raise ValueError("normal form requires deg_x p < m and deg_y p < n")
+        self._walk = (m, n, p, tuple(cells), deg_y)
+
+    def _walked(self) -> tuple:
+        w = self._walk
+        if w[2] is not self.p or w[0] != self.m or w[1] != self.n:
+            self.__post_init__()
+            w = self._walk
+        return w
+
+    def cells(self) -> Tuple[Tuple[int, int, Coeff], ...]:
+        """(i, j, c) for each term c * x^i * y^j of p, in p's term order."""
+        return self._walked()[3]
+
+    @property
+    def deg_y(self) -> int:
+        """deg_y p, as the validating walk read it."""
+        return self._walked()[4]
 
     def cocycle(self) -> Poly:
         return self.p.mul_monomial(mono(x=-self.m, y=-self.n))
+
+
+@lru_cache(maxsize=1024)
+def _cell_of(mo: Mono) -> Optional[Tuple[int, int]]:
+    """(i, j) for the cell x^i * y^j; None for a monomial with a negative
+    exponent or a variable other than x or y."""
+    i = j = 0
+    for v, e in mono_factors(mo):
+        if e < 0:
+            return None
+        if v == "x":
+            i = e
+        elif v == "y":
+            j = e
+        else:
+            return None
+    return i, j
+
+
+def _reject_non_cell(p: Poly):
+    """Raise for a p with a term that is not a cell: a negative exponent
+    anywhere in p outranks the variables other than x and y."""
+    extra = set()
+    for mo in p.terms:
+        for v, e in mono_factors(mo):
+            if e < 0:
+                raise ValueError("p must be a regular polynomial")
+            if v != "x" and v != "y":
+                extra.add(v)
+    raise ValueError(f"p mentions {sorted(extra)}")
 
 
 def normal_form_mnp(c: CocycleClass) -> NormalFormMNP:
@@ -167,7 +231,7 @@ def normal_form_mnp(c: CocycleClass) -> NormalFormMNP:
 # -- affineness certificates --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Case1Step:
     a: int
     q0: Poly
@@ -180,7 +244,7 @@ class Case1Step:
         return AlgebraPresentation(("x", "y", "u", self.fiber_var), [self.relation])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Case2Step:
     b: int
     new_n: int
@@ -193,7 +257,7 @@ class Case2Step:
         return AlgebraPresentation(("x", "y", "u", self.new_fiber_var), [self.relation])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AffinenessCertificate:
     m: int
     n: int
@@ -211,23 +275,12 @@ class CertificateError(RuntimeError):
     pass
 
 
-# Monomial tables of the certificate: every monomial it reads is a cell
-# x^i * y^j of p, and every monomial it builds is a cell shifted by a power of
-# y or x, a fiber lead x^k * fiber, or a witness monomial times x^a.  A sweep
-# block meets the same few of them for every p, so each is read or built
-# once, through the ``poly`` accessors and constructors.
-
-
-@lru_cache(maxsize=1024)
-def _cell_of(mo: Mono) -> Tuple[int, int]:
-    """(i, j) for the cell x^i * y^j; only x and y occur (NormalFormMNP)."""
-    i = j = 0
-    for v, e in mono_factors(mo):
-        if v == "x":
-            i = e
-        else:
-            j = e
-    return i, j
+# Monomial tables of the certificate: every monomial it builds is a cell
+# x^i * y^j of p shifted by a power of y or x, a fiber lead x^k * fiber, or a
+# witness monomial times x^a, and the witness check reads the total degree of
+# each monomial of the relation.  A sweep block meets the same few of them
+# for every p, so each is built or read once, through the ``poly``
+# accessors and constructors.  (``_cell_of``, above, reads p's cells.)
 
 
 @lru_cache(maxsize=1024)
@@ -245,6 +298,9 @@ def _x_shift(mo: Mono, a: int) -> Mono:
     return mono_mul(mo, mono(x=a))
 
 
+_degree = lru_cache(maxsize=1024)(mono_degree)
+
+
 def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     """Run the Case 1 / Case 2 transform for X(m, n, p).
 
@@ -257,19 +313,18 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     its witness power a, the least k such that witness * x^k lies in the
     coordinate ring (certified by ``_check_case1_witness``).
 
-    One walk over p reads each term's cell (i, j), its x- and y-exponents.
-    b is the least j, the terms with j = b form p0 (the y-free part after
-    the Case 2 strip), and a is the least i among them.  The stripped p, q0
-    and the witness are assembled from the cells in p's term order through
-    the monomial tables above, and the relation x^m * fiber - y^(n-b) * u -
-    p / y^b is built once and shared by both steps.
+    The cells (i, j, c) of p's terms come from the walk that validated nf
+    (``NormalFormMNP.cells``); p is not walked again.  b is the least j, the
+    terms with j = b form p0 (the y-free part after the Case 2 strip), and a
+    is the least i among them.  The stripped p, q0 and the witness are
+    assembled from the cells in p's term order through the monomial tables
+    above, and the relation x^m * fiber - y^(n-b) * u - p / y^b is built
+    once and shared by both steps.
     """
     m, n, p = nf.m, nf.n, nf.p
-    cells = []
+    cells = nf.cells()
     a, b = m, n  # above every exponent: deg_x p < m and deg_y p < n
-    for mo, c in p.terms.items():
-        i, j = _cell_of(mo)
-        cells.append((i, j, c))
+    for i, j, c in cells:
         if j < b:
             a, b = i, j
         elif j == b and i < a:
@@ -329,7 +384,7 @@ def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: s
     ):
         raise CertificateError("Case 1 transform identity failed")
     lead = _fiber_lead(m, fiber)
-    if lead not in f or any(mono_degree(mo) > m for mo in f if mo != lead):
+    if lead not in f or any(_degree(mo) > m for mo in f if mo != lead):
         raise CertificateError("Case 1 relation does not lead with x^m * fiber")
 
 

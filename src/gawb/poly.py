@@ -21,12 +21,17 @@ The monomial layout is private to this module.  Other modules build
 monomials with ``mono``, ``mono_from_map``, ``ONE_MONO`` and the ``mono_*``
 arithmetic, and read them only through ``mono_exp`` (one variable's
 exponent), ``mono_factors`` (every ``(variable, exponent)`` pair),
-``Poly.exponent_range`` and ``Poly.select``.
+``Poly.exponent_range`` and ``Poly.select``.  ``mono`` is interned through a
+bounded table (``functools.lru_cache`` on its keyword arguments, in the order
+given), so the few monomials a caller builds again and again, such as the
+cells x^i * y^j of a sweep, are sorted once and shared; monomials are
+tuples, so sharing one is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, lcm
 from operator import itemgetter, neg
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -43,7 +48,10 @@ class LaurentSubstitutionError(ValueError):
     """Raised when a negatively-exponented variable is mapped to a non-unit."""
 
 
+@lru_cache(maxsize=1024)
 def mono(**exps: int) -> Mono:
+    """The monomial with the given exponents (zero exponents dropped),
+    interned: a repeated call with the same keywords returns the same tuple."""
     return mono_from_map(exps)
 
 

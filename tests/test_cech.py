@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from gawb import catalog
+from gawb import catalog, cech, sweeps
 from gawb.cech import (
     ActionCocycleError,
     AffinenessCertificate,
@@ -25,8 +25,10 @@ from gawb.cech import (
 from gawb.derivations import descends_to_quotient
 from gawb.groebner import buchberger, normal_form
 from gawb.parse import parse_poly as pp
-from gawb.poly import ONE_MONO, Poly, TermOrder, mono, mono_degree, mono_from_map, mono_mul
-from gawb.sweeps import iter_sweep_polys
+from gawb.poly import (
+    ONE_MONO, Poly, TermOrder, mono, mono_degree, mono_exp, mono_factors, mono_from_map, mono_mul,
+)
+from gawb.sweeps import affineness_sweep_block, iter_sweep_polys
 
 from conftest import polys
 
@@ -112,6 +114,121 @@ def test_normal_form_invariant_precedence(m, n, p, message):
     with pytest.raises(ValueError) as e:
         NormalFormMNP(m, n, p)
     assert str(e.value) == message
+
+
+def _reference_validate(m, n, p):
+    """The normal form's checks as one walk over p's factors, without the
+    cell table: a negative exponent outranks the other variables, which
+    outrank the degree bounds."""
+    if m < 1 or n < 1:
+        raise ValueError("m, n must be >= 1")
+    if p.is_zero():
+        raise ValueError("p must be nonzero")
+    extra = set()
+    deg_x = deg_y = 0
+    for mo in p.terms:
+        for v, e in mono_factors(mo):
+            if e < 0:
+                raise ValueError("p must be a regular polynomial")
+            if v == "x":
+                deg_x = max(deg_x, e)
+            elif v == "y":
+                deg_y = max(deg_y, e)
+            else:
+                extra.add(v)
+    if extra:
+        raise ValueError(f"p mentions {sorted(extra)}")
+    if deg_x >= m or deg_y >= n:
+        raise ValueError("normal form requires deg_x p < m and deg_y p < n")
+
+
+def _validation_samples():
+    """Seeded (m, n, p): cells up to the degree edge (deg_x = m, deg_y = n),
+    int and Fraction coefficients, zero p, and terms with a negative
+    exponent, a variable other than x and y, or both, in any term order."""
+    rng = random.Random(1919)
+    for m, n in [(0, 2), (2, 0)]:
+        yield m, n, pp("x")
+    for k in range(600):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        terms = {}
+        for _ in range(0 if k % 25 == 0 else rng.randint(1, 5)):
+            exps = {"x": rng.randint(0, m - 1), "y": rng.randint(0, n - 1)}
+            kind = rng.random()
+            if kind < 0.06:
+                exps[rng.choice("xy")] = rng.randint(-2, -1)
+            elif kind < 0.12:
+                exps[rng.choice("uvw")] = rng.randint(1, 2)
+            elif kind < 0.15:
+                exps[rng.choice("uvw")] = rng.randint(-2, -1)
+            elif kind < 0.2:
+                exps["x"] = m
+            elif kind < 0.25:
+                exps["y"] = n
+            c = rng.choice((-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4)))
+            terms[mono_from_map(exps)] = c
+        yield m, n, Poly(terms)
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except Exception as e:  # noqa: BLE001 - the class and message are compared
+        return type(e), str(e)
+    return None
+
+
+def test_normal_form_validation_matches_reference():
+    """The table-driven constructor raises the reference walk's exception
+    (class and message), or none, and keeps p's cells in term order.  Each
+    p is validated twice, so the second pass reads the cached cells."""
+    seen = set()
+    hits = cech._cell_of.cache_info().hits
+    for m, n, p in _validation_samples():
+        want = _outcome(lambda: _reference_validate(m, n, p))
+        seen.add(want[1].split(" [")[0] if want else "valid")
+        for _ in range(2):
+            assert _outcome(lambda: NormalFormMNP(m, n, p)) == want, (m, n, p)
+        if want is None:
+            nf = NormalFormMNP(m, n, p)
+            assert nf.cells() == tuple(
+                (mono_exp(mo, "x"), mono_exp(mo, "y"), c) for mo, c in p.terms.items()
+            )
+            assert nf.deg_y == p.degree_in("y")
+            seen.update(type(c).__name__ for c in p.terms.values())
+        else:
+            variables = {v for mo in p.terms for v, _ in mono_factors(mo)}
+            negative = any(e < 0 for mo in p.terms for _, e in mono_factors(mo))
+            if negative and variables - {"x", "y"}:
+                # the fault the table meets first is either kind
+                first = next(mo for mo in p.terms if cech._cell_of(mo) is None)
+                seen.add("negative first" if min(e for _, e in mono_factors(first)) < 0 else "foreign first")
+            if want[1] == _DEGREE and any(
+                mono_exp(mo, "x") == m or mono_exp(mo, "y") == n for mo in p.terms
+            ):
+                seen.add("at the edge")
+    assert cech._cell_of.cache_info().hits > hits
+    assert {
+        "valid", "int", "Fraction", _BAD_BOUNDS, _ZERO, _IRREGULAR, "p mentions", _DEGREE,
+        "negative first", "foreign first", "at the edge",
+    } <= seen
+
+
+def test_normal_form_revalidates_a_reassigned_field():
+    """The records are not frozen; a field reassigned after construction is
+    validated again before its cells are read."""
+    nf = NormalFormMNP(3, 2, pp("x + 2*y"))
+    assert nf.cells() == ((1, 0, 1), (0, 1, 2)) and nf.deg_y == 1
+    nf.p = pp("x^2 - x*y")
+    assert nf.cells() == ((2, 0, 1), (1, 1, -1)) and nf.deg_y == 1
+    cert = affineness_certificate(nf)
+    assert _as_data(cert) == _as_data(_reference_affineness_certificate(nf))
+    nf.n = 1
+    with pytest.raises(ValueError, match="deg_x p < m and deg_y p < n"):
+        affineness_certificate(nf)
+    nf.n, nf.p = 2, pp("x*u")
+    with pytest.raises(ValueError, match=r"p mentions \['u'\]"):
+        nf.cells()
 
 
 def bundle_from_cocycle(nf):
@@ -353,6 +470,26 @@ def test_certificate_respects_step_bound():
         cert = affineness_certificate(NormalFormMNP(2, 3, p))
         assert cert.steps <= p.degree_in("y") + 1
         assert cert.q0.coeff_of(()) != 0
+
+
+def test_sweep_block_enforces_step_bound(monkeypatch):
+    """The sweep block raises once a certificate takes more than
+    deg_y(p) + 1 steps, and accepts one that takes exactly that many."""
+    real = sweeps.affineness_certificate
+
+    def padded(extra):
+        def certificate(nf):
+            cert = real(nf)
+            steps = nf.p.degree_in("y") + 1 + extra
+            return dataclasses.replace(cert, trace=cert.trace[-1:] * steps)
+        return certificate
+
+    monkeypatch.setattr(sweeps, "affineness_certificate", padded(0))
+    block = affineness_sweep_block(2, 3, limit=50)
+    assert block.count == 50 and block.max_steps == 3
+    monkeypatch.setattr(sweeps, "affineness_certificate", padded(1))
+    with pytest.raises(AssertionError, match="exceeded its step bound"):
+        affineness_sweep_block(2, 3, limit=50)
 
 
 def test_action_cocycle_xmn():

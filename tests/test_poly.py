@@ -380,3 +380,23 @@ def test_accessors_match_dict_reference():
     # the floor at 0 is where degree_in and the range's top differ
     assert parse_poly("u^-2").exponent_range("u") == (-2, -2)
     assert parse_poly("u^-2").degree_in("u") == 0
+
+
+def test_mono_is_interned():
+    """mono builds what mono_from_map builds from the same keywords, in any
+    keyword order and with zero or negative exponents, returns the same
+    tuple for a repeated call, and keeps a bounded table."""
+    rng = random.Random(1919)
+    names = ("a", "u", "v", "w", "x", "y", "z")
+    seen = set()
+    for _ in range(400):
+        kw = {v: rng.randint(-3, 3) for v in rng.sample(names, rng.randint(1, 5))}
+        if list(kw) != sorted(kw):
+            seen.add("unsorted")
+        seen.update("zero" if e == 0 else "negative" for e in kw.values() if e <= 0)
+        got = mono(**kw)
+        assert got == mono_from_map(kw)
+        assert mono(**kw) is got
+    assert {"unsorted", "zero", "negative"} <= seen
+    maxsize = mono.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 4096

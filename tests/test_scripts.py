@@ -1,5 +1,6 @@
 """Smoke runs of the layer and sweep scripts at their smallest settings, and
-of the benchmark's self-test and one traced benchmark round.
+of the benchmark's self-test, one traced benchmark round and one untraced
+affineness-sweep round.
 
 ``division_layer.py`` rebinds ``groebner.normal_form`` and ``poly.mono_mul``
 by identity and wraps ``Poly.__mul__`` and ``Poly.derive``, ``parse_layer.py``
@@ -70,3 +71,15 @@ def test_traced_bench_round_finds_its_layers():
     # module attribute names, so a caller that bypasses one zeroes its layer
     assert result["layers"]["p1bundles.birkhoff_split.s"] > 0
     assert result["layers"]["cech.affineness_certificate.self_s"] > 0
+
+
+def test_untraced_sweep_round_is_correct():
+    """One untraced round of the affineness-sweep workload, the path
+    its run time is measured on: 15,000 certificates, each checked against
+    the benchmark's reference, with no wrapper in between."""
+    out = _run(
+        ROOT / "bench" / "worker.py", "--workload", "affineness-sweep", "--seed", "1", "--round", "0"
+    )
+    result = json.loads(out.splitlines()[-1])
+    assert result["attempted"] == 15_000
+    assert result["failed"] == result["wrong"] == 0, result["errors"]

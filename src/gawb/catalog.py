@@ -9,10 +9,9 @@ change-of-coordinates example with quotient chart (a, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .derivations import ActionMap, Derivation, compose_actions, exponential, extend_with_params
 from .parse import parse_poly
@@ -104,8 +103,7 @@ def gd_action(m: int, n: int, lam: str = "lam", t: str = "t") -> ActionMap:
     return ActionMap(base, ring, images)
 
 
-@dataclass(frozen=True)
-class TrivializationCharts:
+class TrivializationCharts(NamedTuple):
     """Chart data (u_i, T_i, L_i) over the two charts of the base."""
 
     ring: AlgebraPresentation
@@ -142,8 +140,7 @@ def zmnk_presentation(m: int, n: int, k: int) -> Tuple[AlgebraPresentation, Deri
     return pres, d
 
 
-@dataclass(frozen=True)
-class QuotientChartExample:
+class QuotientChartExample(NamedTuple):
     """The published X_{2,2} data: quotient chart (a, b), section w, and the
     candidate derivation images.  All identities about these are recomputed,
     never assumed."""

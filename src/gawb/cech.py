@@ -19,11 +19,14 @@ monomial and a shift, so a sweep over one (m, n) box reads and builds each
 of its monomials once.  The witness check reads the relation alone and does
 not share the walk's cells.
 
-The normal form, the certificate and its steps are slotted dataclasses, not
-frozen ones: each holds a ``Poly``, which is immutable by convention and
-cannot be hashed, so freezing gave them no hash, and it made each
-construction two to three times slower.  A ``NormalFormMNP`` whose field is
-reassigned validates the new value before its cells are read again.
+The normal form, the certificate and its steps are the module's only
+dataclasses, slotted ones: the tests read a certificate's fields through
+``dataclasses.fields``, and each record holds a ``Poly``, which is immutable
+by convention and cannot be hashed, so none of them has a hash.  A
+``NormalFormMNP`` whose field is reassigned validates the new value before
+its cells are read again.  ``CocycleClass`` is a ``NamedTuple`` and
+``ActionCocycleReport`` a plain slotted class, so importing the module
+generates no code for them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import catalog
 from .derivations import Derivation
@@ -48,8 +51,7 @@ from .quotient import (
 )
 
 
-@dataclass(frozen=True)
-class CocycleClass:
+class CocycleClass(NamedTuple):
     """Class in H^1 of the punctured plane: coefficients on x^-i y^-j, i,j >= 1."""
 
     coefficients: Tuple[Tuple[Tuple[int, int], Coeff], ...]
@@ -67,12 +69,6 @@ class CocycleClass:
 
     def is_trivial(self) -> bool:
         return not self.coefficients
-
-    def __add__(self, other: "CocycleClass") -> "CocycleClass":
-        d = self.as_dict()
-        for ij, c in other.coefficients:
-            d[ij] = d.get(ij, 0) + c
-        return CocycleClass.from_dict(d)
 
     def scale(self, c: Coeff) -> "CocycleClass":
         return CocycleClass.from_dict({ij: c * k for ij, k in self.coefficients})
@@ -130,6 +126,8 @@ class _ValidatedWalk:
     __slots__ = ("_walk",)
 
 
+# A dataclass, as tuned for the sweep: ``_walked`` reruns ``__post_init__``
+# to validate a reassigned field.
 @dataclass(slots=True)
 class NormalFormMNP(_ValidatedWalk):
     """Cocycle normal form p(x,y) x^-m y^-n with deg_x p < m, deg_y p < n.
@@ -231,6 +229,7 @@ def normal_form_mnp(c: CocycleClass) -> NormalFormMNP:
 # -- affineness certificates --------------------------------------------------
 
 
+# A dataclass: the certificate tests use ``dataclasses.fields`` and ``replace``.
 @dataclass(slots=True)
 class Case1Step:
     a: int
@@ -244,6 +243,7 @@ class Case1Step:
         return AlgebraPresentation(("x", "y", "u", self.fiber_var), [self.relation])
 
 
+# A dataclass: the certificate tests use ``dataclasses.fields`` and ``replace``.
 @dataclass(slots=True)
 class Case2Step:
     b: int
@@ -257,6 +257,7 @@ class Case2Step:
         return AlgebraPresentation(("x", "y", "u", self.new_fiber_var), [self.relation])
 
 
+# A dataclass: the certificate tests use ``dataclasses.fields`` and ``replace``.
 @dataclass(slots=True)
 class AffinenessCertificate:
     m: int
@@ -395,16 +396,24 @@ class ActionCocycleError(RuntimeError):
     pass
 
 
-@dataclass
 class ActionCocycleReport:
-    localized: AlgebraPresentation
-    deltas: List[RingElement]
-    unit_certificate: UnitCertificate
-    fractions: List[RingElement]
-    differences: Dict[Tuple[int, int], RingElement]
-    invariance_residuals: Dict[Tuple[int, int], str]
-    laurent: Dict[Tuple[int, int], Optional[Poly]]
-    classes: Dict[Tuple[int, int], Optional[CocycleClass]]
+    __slots__ = ("localized", "deltas", "unit_certificate", "fractions", "differences",
+                 "invariance_residuals", "laurent", "classes")
+
+    def __init__(self, localized: AlgebraPresentation, deltas: List[RingElement],
+                 unit_certificate: UnitCertificate, fractions: List[RingElement],
+                 differences: Dict[Tuple[int, int], RingElement],
+                 invariance_residuals: Dict[Tuple[int, int], str],
+                 laurent: Dict[Tuple[int, int], Optional[Poly]],
+                 classes: Dict[Tuple[int, int], Optional[CocycleClass]]):
+        self.localized = localized
+        self.deltas = deltas
+        self.unit_certificate = unit_certificate
+        self.fractions = fractions
+        self.differences = differences
+        self.invariance_residuals = invariance_residuals
+        self.laurent = laurent
+        self.classes = classes
 
     @property
     def invariant(self) -> bool:

@@ -42,24 +42,29 @@ FAIL = "fail"
 DISCREPANCY = "discrepancy-documented"
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    nilpotency_bound: int = 64
-    power_bound: int = 12
-    points: int = 20
+    __slots__ = ("seed", "nilpotency_bound", "power_bound", "points")
+
+    def __init__(self, seed: int = 0, nilpotency_bound: int = 64, power_bound: int = 12, points: int = 20):
+        self.seed = seed
+        self.nilpotency_bound = nilpotency_bound
+        self.power_bound = power_bound
+        self.points = points
 
 
-@dataclass
 class ClaimRecord:
-    claim_id: str
-    section: str
-    quote: str
-    expected: str
-    actual: str
-    status: str
-    seconds: float = 0.0
-    notes: str = ""
+    __slots__ = ("claim_id", "section", "quote", "expected", "actual", "status", "seconds", "notes")
+
+    def __init__(self, claim_id: str, section: str, quote: str, expected: str, actual: str,
+                 status: str, seconds: float = 0.0, notes: str = ""):
+        self.claim_id = claim_id
+        self.section = section
+        self.quote = quote
+        self.expected = expected
+        self.actual = actual
+        self.status = status
+        self.seconds = seconds
+        self.notes = notes
 
     def to_json(self, timings: bool = False) -> dict:
         out = {
@@ -77,12 +82,15 @@ class ClaimRecord:
         return out
 
 
-@dataclass
 class Report:
-    records: List[ClaimRecord]
-    seed: int
-    version: str = __version__
-    total_seconds: float = 0.0
+    __slots__ = ("records", "seed", "version", "total_seconds")
+
+    def __init__(self, records: List[ClaimRecord], seed: int, version: str = __version__,
+                 total_seconds: float = 0.0):
+        self.records = records
+        self.seed = seed
+        self.version = version
+        self.total_seconds = total_seconds
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -133,6 +141,8 @@ class Report:
 Outcome = Tuple[str, str, str, str]  # expected, actual, status, notes
 
 
+# A dataclass, because the benchmark's tracer rebuilds each claim with
+# ``dataclasses.replace`` to time it.
 @dataclass(frozen=True)
 class Claim:
     claim_id: str

@@ -8,6 +8,9 @@ variable override.
 --matrix, --presentation and --derivation take inline text or the name of a
 file holding it; a value that is both an existing file and valid inline text
 is rejected as ambiguous.
+
+Each subcommand imports the modules that only it uses, so a command does not
+pay to import the claim registry, the bundle or the surface code it never runs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from . import __version__, cech, claims, groebner, p1bundles, surfaces
+from . import __version__, groebner
 from .derivations import (
     Derivation,
     descends_to_quotient,
@@ -169,6 +172,7 @@ def _ints(flag: str, text: str, count: int) -> List[int]:
 
 
 def _parse_surface(text: str) -> surfaces.RuledSurface:
+    from . import surfaces
     t = text.strip()
     if t.upper().startswith("F") and t[1:].isdigit():
         make, params = surfaces.hirzebruch, [int(t[1:])]
@@ -201,6 +205,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cocycle(args) -> int:
+    from . import cech
     g = cech.parse_cocycle(args.expr)
     if args.action == "class":
         cls = cech.class_of(g)
@@ -237,6 +242,7 @@ def _cmd_cocycle(args) -> int:
 
 
 def _trace_json(cert: cech.AffinenessCertificate) -> List[dict]:
+    from . import cech
     out = []
     for s in cert.trace:
         if isinstance(s, cech.Case2Step):
@@ -255,6 +261,7 @@ def _trace_json(cert: cech.AffinenessCertificate) -> List[dict]:
 
 
 def _cmd_affine_cert(args) -> int:
+    from . import cech, claims
     p = parse_poly(args.p, ("x", "y"))
     nf = cech.NormalFormMNP(args.m, args.n, p)
     cert = cech.affineness_certificate(nf)
@@ -299,6 +306,7 @@ def _cmd_lnd(args) -> int:
 
 
 def _cmd_splitting(args) -> int:
+    from . import p1bundles
     M = _read_source("--matrix", args.matrix, p1bundles.TransitionMatrix2.loads)
     fac = p1bundles.birkhoff_split(M)
     payload = fac.splitting.to_json()
@@ -309,6 +317,7 @@ def _cmd_splitting(args) -> int:
 
 
 def _cmd_h0(args) -> int:
+    from . import p1bundles
     M = _read_source("--matrix", args.matrix, p1bundles.TransitionMatrix2.loads)
     dim, basis = p1bundles.h0_twist(M, args.j)
     payload = {
@@ -321,6 +330,7 @@ def _cmd_h0(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
+    from . import surfaces
     surf = _parse_surface(args.surface)
     c1 = _ints("--d1", args.d1, 2)
     c2 = _ints("--d2", args.d2, 2)
@@ -334,6 +344,7 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import surfaces
     if args.mode == "mn":
         verdict = surfaces.classify_xmn(args.m, args.n, args.p, args.q)
         _emit(args, verdict.to_json(),
@@ -349,6 +360,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from . import claims
     if args.groebner_budget != groebner.DEFAULT_SPAIR_BUDGET:
         raise UsageError(
             "verify-paper runs every claim under the library Groebner budget of "

@@ -11,10 +11,9 @@ must equal acting by the product g*g' of the declared law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .poly import Poly, invert_coeff, mono_from_map
 from .quotient import (
@@ -131,8 +130,7 @@ def descends_to_quotient(d: Derivation) -> bool:
     return all(d.apply_poly(r).is_zero() for r in d.ring.relations)
 
 
-@dataclass(frozen=True)
-class NilpotencyCertificate:
+class NilpotencyCertificate(NamedTuple):
     indices: Dict[str, int]
     bound: int
 
@@ -252,8 +250,7 @@ def compose_actions(first: "ActionMap", second: "ActionMap") -> Dict[str, RingEl
     return {v: second.images[v].substitute(base_map) for v in second.base.variables}
 
 
-@dataclass(frozen=True)
-class GroupLaw:
+class GroupLaw(NamedTuple):
     """A group law on parameter tuples (lam, t), each factor present or not:
     G_a translates (t, t') -> t + t', G_m scales (lam, lam') -> lam * lam',
     and G_d = G_m x| G_a has (lam, t)(lam', t') = (lam * lam', t + lam^twist * t').
@@ -305,17 +302,21 @@ class GroupLaw:
         return (inv, -(inv ** self.twist) * g[1])
 
 
-@dataclass
 class ActionCheck:
-    name: str
-    passed: bool
-    residuals: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "passed", "residuals")
+
+    def __init__(self, name: str, passed: bool, residuals: Optional[Dict[str, str]] = None):
+        self.name = name
+        self.passed = passed
+        self.residuals = {} if residuals is None else residuals
 
 
-@dataclass
 class ActionReport:
-    law: GroupLaw
-    checks: List[ActionCheck]
+    __slots__ = ("law", "checks")
+
+    def __init__(self, law: GroupLaw, checks: List[ActionCheck]):
+        self.law = law
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -21,9 +21,8 @@ exponent, so the determinant bounds the number of steps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from . import catalog
 from .derivations import exponential, residual
@@ -58,22 +57,21 @@ def _u_power(p: Poly, k: int) -> Poly:
 # -- torsor transitions over P^1 ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class TorsorTransition:
     """T |-> u^d T + phi(u), the chart change of an O(-d)-torsor."""
 
-    d: int
-    phi: Poly
+    __slots__ = ("d", "phi")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, phi: Poly):
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        if self.phi.variables() - {U}:
+        if phi.variables() - {U}:
             raise ValueError("phi must be a Laurent polynomial in u")
+        self.d = d
+        self.phi = phi
 
 
-@dataclass(frozen=True)
-class TorsorClass:
+class TorsorClass(NamedTuple):
     """Class in H^1(P^1, O(-d)): coefficients of u^1 .. u^(d-1)."""
 
     d: int
@@ -88,8 +86,7 @@ def torsor_class(tt: TorsorTransition) -> TorsorClass:
     return TorsorClass(tt.d, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class SdmTransition:
+class SdmTransition(NamedTuple):
     """Full G_d chart change of the quotient of the hypersurface threefold:
     (L, T) |-> (u L, u^d T + u^m)."""
 
@@ -117,19 +114,19 @@ def sdm_from_mn(m: int, n: int) -> SdmTransition:
 # -- rank 2 transition matrices -----------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransitionMatrix2:
-    entries: Tuple[Tuple[Poly, Poly], Tuple[Poly, Poly]]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        for row in self.entries:
+    def __init__(self, entries: Tuple[Tuple[Poly, Poly], Tuple[Poly, Poly]]):
+        for row in entries:
             for p in row:
                 if p.variables() - {U}:
                     raise ValueError("matrix entries must be Laurent polynomials in u")
-        if not _mat_det(self.entries).is_single_term():
+        if not _mat_det(entries).is_single_term():
             raise NonMonomialDeterminantError(
                 "transition matrix must have a nonzero monomial determinant"
             )
+        self.entries = entries
 
     def det(self) -> Poly:
         return _mat_det(self.entries)
@@ -197,14 +194,22 @@ def _is_regular_uinv(A) -> bool:
     return all(p.exponent_range(U)[1] <= 0 for row in A for p in row)
 
 
-@dataclass(frozen=True)
 class SplittingType:
-    a1: int
-    a2: int
+    __slots__ = ("a1", "a2")
 
-    def __post_init__(self):
-        if self.a1 < self.a2:
+    def __init__(self, a1: int, a2: int):
+        if a1 < a2:
             raise ValueError("splitting type must be sorted a1 >= a2")
+        self.a1 = a1
+        self.a2 = a2
+
+    def __eq__(self, other):
+        if type(other) is not SplittingType:
+            return NotImplemented
+        return (self.a1, self.a2) == (other.a1, other.a2)
+
+    def __hash__(self):
+        return hash((self.a1, self.a2))
 
     @property
     def hirzebruch_index(self) -> int:
@@ -214,8 +219,7 @@ class SplittingType:
         return {"type": [self.a1, self.a2], "hirzebruch": self.hirzebruch_index}
 
 
-@dataclass(frozen=True)
-class BirkhoffFactorization:
+class BirkhoffFactorization(NamedTuple):
     """matrix = left * diag(u^e1, u^e2) * right, det(left), det(right) constant.
 
     left is regular and invertible over C[u^-1], right over C[u]; the summand
@@ -381,14 +385,17 @@ def splitting_by_h0_scan(M: TransitionMatrix2, scan_cap: int = 64) -> SplittingT
 # -- trivialization identities ---------------------------------------------------
 
 
-@dataclass
 class TrivializationReport:
-    m: int
-    n: int
-    identity_residuals: Dict[str, str]
-    invariance_residuals: Dict[str, str]
-    points_checked: int
-    point_failures: int
+    __slots__ = ("m", "n", "identity_residuals", "invariance_residuals", "points_checked", "point_failures")
+
+    def __init__(self, m: int, n: int, identity_residuals: Dict[str, str],
+                 invariance_residuals: Dict[str, str], points_checked: int, point_failures: int):
+        self.m = m
+        self.n = n
+        self.identity_residuals = identity_residuals
+        self.invariance_residuals = invariance_residuals
+        self.points_checked = points_checked
+        self.point_failures = point_failures
 
     @property
     def passed(self) -> bool:

@@ -265,12 +265,6 @@ class Poly:
     def is_regular(self, variables: Optional[Iterable[str]] = None) -> bool:
         return all(mono_is_regular(m, variables) for m in self.terms)
 
-    def degree(self, variables: Optional[Iterable[str]] = None) -> int:
-        """Max total degree over terms (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(mono_degree(m, variables) for m in self.terms)
-
     def degree_in(self, var: str) -> int:
         """Largest exponent of var over terms, floored at 0."""
         return max(0, self.exponent_range(var)[1])

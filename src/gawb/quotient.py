@@ -12,9 +12,8 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import groebner
 from .linalg import cofactor_det
@@ -453,8 +452,7 @@ class RingElement:
         return f"RingElement({self.render()!r})"
 
 
-@dataclass(frozen=True)
-class UnitCertificate:
+class UnitCertificate(NamedTuple):
     """1 = sum(element_cofactors . elements) + sum(relation_cofactors . relations)."""
 
     ok: bool
@@ -502,11 +500,14 @@ class SmoothnessVerdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
 class SmoothnessReport:
-    verdict: SmoothnessVerdict
-    puncture_powers: Dict[str, int] = field(default_factory=dict)
-    detail: str = ""
+    __slots__ = ("verdict", "puncture_powers", "detail")
+
+    def __init__(self, verdict: SmoothnessVerdict, puncture_powers: Optional[Dict[str, int]] = None,
+                 detail: str = ""):
+        self.verdict = verdict
+        self.puncture_powers = {} if puncture_powers is None else puncture_powers
+        self.detail = detail
 
 
 def smoothness_check(

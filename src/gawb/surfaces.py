@@ -9,8 +9,7 @@ Every scroll construction re-derives these identities as a self-test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .poly import Poly
 from .resultant import NonHomogeneousError, binary_resultant
@@ -20,8 +19,7 @@ class CommonZeroError(ValueError):
     """The two forms share a projective zero, so the hypersurface hypothesis fails."""
 
 
-@dataclass(frozen=True)
-class RuledSurface:
+class RuledSurface(NamedTuple):
     kind: str             # "hirzebruch" | "scroll"
     k: int = 0            # Hirzebruch index
     m: int = 0            # scroll twists, m >= n >= 1
@@ -52,8 +50,7 @@ def scroll(m: int, n: int) -> RuledSurface:
     return s
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     surface: RuledSurface
     coeffs: Tuple[int, int]
 
@@ -137,8 +134,7 @@ def sdm_boundary_class(m: int, n: int) -> Tuple[DivisorClass, int]:
     return cls, self_intersection(cls)
 
 
-@dataclass(frozen=True)
-class XmnVerdict:
+class XmnVerdict(NamedTuple):
     verdict: str           # "IsomorphicByTheorem" | "Inconclusive"
     d: Optional[int]
     citation: str
@@ -160,8 +156,7 @@ def classify_xmn(m: int, n: int, p: int, q: int) -> XmnVerdict:
     return XmnVerdict("Inconclusive", None, "criterion-inapplicable")
 
 
-@dataclass(frozen=True)
-class XfgClassification:
+class XfgClassification(NamedTuple):
     m: int
     n: int
     resultant_nonzero: bool

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from .cech import Case2Step, NormalFormMNP, affineness_certificate
@@ -27,24 +26,28 @@ def count_sweep_polys(m: int, n: int, lo: int = -2, hi: int = 2) -> int:
     return width ** (m * n - 1) - 1
 
 
-@dataclass
 class SweepBlock:
-    m: int
-    n: int
-    count: int = 0
-    max_steps: int = 0
-    case2_count: int = 0
-    seconds: float = 0.0
-    # the part of ``seconds`` spent in NormalFormMNP, whose constructor walks
-    # p for the certificate, and in affineness_certificate
-    cert_seconds: float = 0.0
+    __slots__ = ("m", "n", "count", "max_steps", "case2_count", "seconds", "cert_seconds")
+
+    def __init__(self, m: int, n: int):
+        self.m = m
+        self.n = n
+        self.count = 0
+        self.max_steps = 0
+        self.case2_count = 0
+        self.seconds = 0.0
+        # the part of ``seconds`` spent in NormalFormMNP, whose constructor
+        # walks p for the certificate, and in affineness_certificate
+        self.cert_seconds = 0.0
 
 
-@dataclass
 class SweepSummary:
-    blocks: Dict[Tuple[int, int], SweepBlock] = field(default_factory=dict)
-    total: int = 0
-    seconds: float = 0.0
+    __slots__ = ("blocks", "total", "seconds")
+
+    def __init__(self):
+        self.blocks: Dict[Tuple[int, int], SweepBlock] = {}
+        self.total = 0
+        self.seconds = 0.0
 
     def merge(self, block: SweepBlock):
         self.blocks[(block.m, block.n)] = block

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -309,3 +310,41 @@ def test_nilpotency_bound_overrun(capsys):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: derivative tower of 'u' did not vanish within 1 iterations"]
+
+
+# Paths whose modules each subcommand now imports itself: stdout and exit
+# code pinned.
+
+def test_lnd_exp_text(capsys):
+    code, out, _ = run(capsys, "lnd", "exp", "--presentation", PRES, "--derivation", DER)
+    assert (code, out) == (0, "x -> x; y -> y; u -> x^2*t + u; v -> y^2*t + v\n")
+
+
+def test_classify_fg_text(capsys):
+    code, out, _ = run(capsys, "classify", "fg", "x^2+y^2", "y^3")
+    assert (code, out) == (
+        0, "degrees (2, 3); boundary square 5; isomorphic to the pure-power hypersurface X_{2,3}\n"
+    )
+
+
+def test_cocycle_class_of_a_coboundary_is_trivial(capsys):
+    code, out, _ = run(capsys, "cocycle", "class", "x + y^-1 + x^-1*y")
+    assert (code, out) == (0, "trivial class\n")
+
+
+def test_cocycle_normalize_of_a_coboundary_exits_1(capsys):
+    code, out, err = run(capsys, "cocycle", "normalize", "x + y^-1 + x^-1*y")
+    assert (code, out, err) == (1, "", "trivial class: no (m, n, p) normal form\n")
+
+
+def test_verify_paper_default_table(capsys):
+    """The default seed-0 text table, pinned by its sha256 like the JSON
+    reports in ``test_claims.py``."""
+    code, out, _ = run(capsys, "verify-paper")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0].split() == ["CLAIM", "SECTION", "STATUS", "DETAIL"]
+    assert lines[-1] == "39 claims: 29 pass, 10 discrepancy-documented, 0 fail"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2017860675618e168b0cc6568ba0fa9b285cb21d389df37ac7d8d6071469f186"
+    )

@@ -41,7 +41,7 @@ from .derivations import Derivation
 from .parse import parse_poly
 from .poly import (
     ONE_MONO, Coeff, Mono, Poly, invert_coeff, mono, mono_degree, mono_exp, mono_factors,
-    mono_from_map, mono_mul,
+    mono_from_map, mono_mul, render_poly,
 )
 from .quotient import (
     AlgebraPresentation,
@@ -359,6 +359,17 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
             case1,
         )
     return AffinenessCertificate(m, n, p, trace, "UnitCertificate", q0=q0)
+
+
+def describe_trace(cert: AffinenessCertificate) -> str:
+    """The certificate's steps in one line, as ``gawb affine-cert`` prints them."""
+    parts = []
+    for s in cert.trace:
+        if isinstance(s, Case2Step):
+            parts.append(f"Case2(b={s.b}, n->{s.new_n})")
+        else:
+            parts.append(f"Case1(a={s.a}, q0={render_poly(s.q0)}, k={s.witness_power})")
+    return " -> ".join(parts) if parts else "(empty)"
 
 
 def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: str) -> None:

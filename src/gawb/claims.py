@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from . import catalog, cech, p1bundles, surfaces, sweeps
+from .cech import describe_trace
 from .derivations import (
     GroupLaw,
     NotNilpotentWithinBound,
@@ -794,16 +795,6 @@ def _c_example_cocycle_class(cfg: RunConfig) -> Outcome:
         FAIL,
         construction,
     )
-
-
-def describe_trace(cert: cech.AffinenessCertificate) -> str:
-    parts = []
-    for s in cert.trace:
-        if isinstance(s, cech.Case2Step):
-            parts.append(f"Case2(b={s.b}, n->{s.new_n})")
-        else:
-            parts.append(f"Case1(a={s.a}, q0={render_poly(s.q0)}, k={s.witness_power})")
-    return " -> ".join(parts) if parts else "(empty)"
 
 
 CLAIMS: List[Claim] = [

@@ -261,7 +261,7 @@ def _trace_json(cert: cech.AffinenessCertificate) -> List[dict]:
 
 
 def _cmd_affine_cert(args) -> int:
-    from . import cech, claims
+    from . import cech
     p = parse_poly(args.p, ("x", "y"))
     nf = cech.NormalFormMNP(args.m, args.n, p)
     cert = cech.affineness_certificate(nf)
@@ -271,7 +271,7 @@ def _cmd_affine_cert(args) -> int:
         "q0": None if cert.q0 is None else render_poly(cert.q0),
         "trace": _trace_json(cert),
     }
-    _emit(args, payload, f"{cert.outcome}: {claims.describe_trace(cert)}")
+    _emit(args, payload, f"{cert.outcome}: {cech.describe_trace(cert)}")
     return 0
 
 

@@ -26,6 +26,11 @@ bounded table (``functools.lru_cache`` on its keyword arguments, in the order
 given), so the few monomials a caller builds again and again, such as the
 cells x^i * y^j of a sweep, are sorted once and shared; monomials are
 tuples, so sharing one is safe.
+
+``render_poly`` makes one pass over the terms: it builds each monomial's
+exponent vector over the order's variables once (``TermOrder._vector_key``,
+the walk that ``TermOrder.key`` also uses), takes the sort key and the
+monomial's text from it, and sorts the rendered rows by key.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
 from operator import itemgetter, neg
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple  # tuple[tuple[str, int], ...], sorted by variable name
@@ -149,18 +154,20 @@ class TermOrder:
     def key(self, m: Mono):
         k = self._cache.get(m)
         if k is None:
-            exps = [0] * len(self.variables)
-            pos = self._pos
-            for v, e in m:
-                if v not in pos:
-                    raise ValueError(f"variable {v!r} not covered by term order")
-                exps[pos[v]] = e
-            if self.kind == "lex":
-                k = tuple(exps)
-            else:
-                k = (sum(exps), tuple(-e for e in reversed(exps)))
-            self._cache[m] = k
+            k = self._cache[m] = self._vector_key(m)[1]
         return k
+
+    def _vector_key(self, m: Mono) -> tuple:
+        """m's exponents over ``variables``, in their order, and its key."""
+        exps = [0] * len(self.variables)
+        pos = self._pos
+        for v, e in m:
+            if v not in pos:
+                raise ValueError(f"variable {v!r} not covered by term order")
+            exps[pos[v]] = e
+        if self.kind == "lex":
+            return exps, tuple(exps)
+        return exps, (sum(exps), tuple(map(neg, reversed(exps))))
 
     def heap_key(self, m: Mono):
         """``key(m)`` negated entrywise: ``heapq``'s min-heap then pops the
@@ -616,40 +623,30 @@ def invert_coeff(c: Coeff) -> Coeff:
     return Fraction(1) / Fraction(c)
 
 
-def _render_coeff(c: Coeff) -> str:
-    return str(c)
-
-
-def render_mono(m: Mono, priority: Optional[Sequence] = None) -> str:
-    if not m:
-        return "1"
-    factors = list(m)
-    if priority is not None:
-        pos = {v: i for i, v in enumerate(priority)}
-        factors.sort(key=lambda ve: pos.get(ve[0], len(pos)))
-    parts = []
-    for v, e in factors:
-        parts.append(v if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
-
-
 def render_poly(p: Poly, order: Optional[TermOrder] = None) -> str:
-    """Canonical text form: terms sorted descending by the term order."""
+    """Canonical text form: terms sorted descending by the term order.
+
+    Each monomial's exponent vector over the order's variables is built once;
+    its sort key (``TermOrder.key``'s) and its text both come from it."""
     if not p.terms:
         return "0"
     if order is None:
         order = TermOrder("degrevlex", sorted(p.variables()))
+    variables, vector_key = order.variables, order._vector_key
+    rows = []
+    for m, c in p.terms.items():
+        exps, key = vector_key(m)
+        text = "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e])
+        rows.append((key, text, c))
+    rows.sort(reverse=True)  # distinct monomials have distinct keys
     parts = []
-    for m in order.sorted_monos(p.terms.keys()):
-        c = p.terms[m]
+    for _, body, c in rows:
         neg = c < 0
         ac = -c if neg else c
-        if m == ONE_MONO:
-            body = _render_coeff(ac)
-        elif ac == 1:
-            body = render_mono(m, order.variables)
-        else:
-            body = f"{_render_coeff(ac)}*{render_mono(m, order.variables)}"
+        if not body:
+            body = str(ac)
+        elif ac != 1:
+            body = f"{ac}*{body}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

@@ -55,7 +55,12 @@ class AlgebraPresentation:
         inverted: Sequence[PolyLike] = (),
         order: Optional[TermOrder] = None,
         groebner_budget: int = groebner.DEFAULT_SPAIR_BUDGET,
+        *,
+        _basis: Optional[Sequence[Poly]] = None,
     ):
+        """``_basis``, passed only by ``extend``, is the reduced Groebner basis
+        of the same relations under an order that agrees with ``order`` on
+        every monomial of the relations, so Buchberger would return it."""
         self.variables: Tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise PresentationError("duplicate variable names")
@@ -70,7 +75,10 @@ class AlgebraPresentation:
                 raise PresentationError("relations must be nonzero")
             if not r.is_regular():
                 raise PresentationError("relations must be regular (no negative exponents)")
-        self.basis = groebner.buchberger(list(self.relations), self.order, budget=groebner_budget)
+        if _basis is None:
+            self.basis = groebner.buchberger(list(self.relations), self.order, budget=groebner_budget)
+        else:
+            self.basis = groebner.GroebnerBasis(_basis, self.order, generators=self.relations)
 
         self.inverted: Tuple[Poly, ...] = tuple(self._parse(f) for f in inverted)
         self._unit_vars: Dict[str, int] = {}
@@ -236,7 +244,12 @@ class AlgebraPresentation:
         self, extra_vars: Sequence[str], extra_inverted: Sequence[PolyLike] = ()
     ) -> "AlgebraPresentation":
         """Adjoin fresh variables, appended after the current priority list,
-        and invert further elements (given over the extended variables)."""
+        and invert further elements (given over the extended variables).
+
+        The relations do not mention the new variables, and the extended
+        order, with them last, ranks the old variables' monomials as before;
+        so Buchberger would take the same steps, and the reduced basis is
+        reused."""
         overlap = set(extra_vars) & set(self.variables)
         if overlap:
             raise PresentationError(f"variables {sorted(overlap)} already present")
@@ -246,6 +259,7 @@ class AlgebraPresentation:
             self.inverted + tuple(extra_inverted),
             order=TermOrder(self.order.kind, self.order.variables + tuple(extra_vars)),
             groebner_budget=self.groebner_budget,
+            _basis=self.basis.polys,
         )
 
     def lift(self, e: "RingElement") -> "RingElement":

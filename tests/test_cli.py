@@ -1,9 +1,15 @@
 import hashlib
+import importlib.util
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from gawb.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -348,3 +354,70 @@ def test_verify_paper_default_table(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2017860675618e168b0cc6568ba0fa9b285cb21d389df37ac7d8d6071469f186"
     )
+
+
+# -- golden transcripts ----------------------------------------------------------------
+
+
+def _golden_script():
+    spec = importlib.util.spec_from_file_location("cli_golden", ROOT / "scripts" / "cli_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_transcripts():
+    """Every case of ``tests/golden/cli.txt``, replayed through ``cli.main``:
+    exit code, stdout and stderr byte for byte."""
+    golden = _golden_script()
+    cases = golden.read_cases()
+    assert [argv for argv, *_ in cases] == golden.CASES
+    differ = [argv for argv, *want in cases if golden.run_case(argv) != tuple(want)]
+    assert differ == []
+
+
+def _readme_command_lines():
+    """Each ``gawb ...`` line of the README's "Command line" block as an argv,
+    with ``matrix.json`` replaced by the matrix its comment shows."""
+    block = (ROOT / "README.md").read_text().split("## Command line")[1].split("```")[1]
+    block = block.replace("\\\n", " ")
+    matrix = re.search(r"# (\[\[.*\]\])", block)[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.replace("matrix.json", shlex.quote(matrix)).splitlines()
+        if line.startswith("gawb ")
+    ]
+
+
+def _expansions(tokens):
+    """The argv shapes a README line allows: each optional ``[--flag ...]``
+    group present or absent."""
+    shapes = [[]]
+    i = 0
+    while i < len(tokens):
+        if tokens[i].startswith("[--"):
+            j = next(k for k in range(i, len(tokens)) if tokens[k].endswith("]"))
+            group = " ".join(tokens[i:j + 1])[1:-1].split(" ")
+            shapes = [s + extra for s in shapes for extra in ([], group)]
+            i = j + 1
+        else:
+            shapes = [s + [tokens[i]] for s in shapes]
+            i += 1
+    return shapes
+
+
+def _fits(shape, argv):
+    """An upper-case placeholder such as ``CLAIM-ID`` stands for any value."""
+    return len(shape) == len(argv) and all(
+        s == a or re.fullmatch(r"[A-Z][A-Z-]+", s) for s, a in zip(shape, argv)
+    )
+
+
+def test_readme_command_lines_have_golden_cases():
+    cases = _golden_script().CASES
+    lines = _readme_command_lines()
+    assert len(lines) == 15
+    for tokens in lines:
+        for prefix in ([], ["--json"]):
+            assert any(_fits(prefix + shape, argv) for shape in _expansions(tokens) for argv in cases), (
+                prefix, tokens)

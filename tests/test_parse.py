@@ -293,6 +293,12 @@ def test_matches_reference_on_fixed_cases():
         "(-1)^-3", "x + y  ", "  x\t", "x^2^3", "(x", "1/", "1/0", "x/2", "", "   ",
         "x*x^-1", "2*(x + y)*3", "(x + y)*x*(x - y)", "0*(x + y)", "-x + y", "x + $",
         "x ^ y", "x + ", "2x", "x^-3*y^-1", "5/16*v^2*x", "(x*y)^2*(x + 1)^2",
+        # where a factor's optional "/INT" or "^[-]INT" is or is not one token with it
+        "x^ - 2", "2 / 3", "2/3^2", "2^2/3", "x^^2", "2^2^3", "(x+y)^ -1", "x^-", "1//2",
+        "2/3/4", "2_", "x_1*2", "x ^ -y", "\u0663*x", "x\u00a0+\u20031", "x^\u0663", "2 /3^2",
+        "2 /3/4", "(2 /3/4)", "x ^2/3", "(x ^2^3)", "2^3 /4", "0 /3^-1", "2 /0/4",
+        "(x+y) ^-1/2", "(1/2*2)^-1", "((1/2)*x + (1/2)*x)^-1", "(-2/3)^-2*x", "x*0*(x+y)",
+        "x x $", "x)^2", "2^- 3/4", "1/ 2^3", "x*(y+1)*2/3*x",
     ]
     for text in cases:
         for variables in (None, _VARS):

@@ -135,6 +135,80 @@ def test_render_canonical():
     assert render_poly(Poly.zero()) == "0"
 
 
+# The renderer as it stood before each monomial's exponent vector was built
+# once: terms sorted by ``TermOrder.key`` and each monomial's factors sorted
+# by their position in the priority list.
+
+def _reference_render_mono(m, priority=None):
+    if not m:
+        return "1"
+    factors = list(m)
+    if priority is not None:
+        pos = {v: i for i, v in enumerate(priority)}
+        factors.sort(key=lambda ve: pos.get(ve[0], len(pos)))
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in factors)
+
+
+def _reference_render_poly(p, order=None):
+    if not p.terms:
+        return "0"
+    if order is None:
+        order = TermOrder("degrevlex", sorted(p.variables()))
+    parts = []
+    for m in order.sorted_monos(p.terms.keys()):
+        c = p.terms[m]
+        neg = c < 0
+        ac = -c if neg else c
+        if m == ():
+            body = str(ac)
+        elif ac == 1:
+            body = _reference_render_mono(m, order.variables)
+        else:
+            body = f"{ac}*{_reference_render_mono(m, order.variables)}"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
+
+
+def _render_outcome(render, p, order):
+    try:
+        return render(p, order)
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+def test_render_matches_reference():
+    """Seeded Laurent polynomials with int, Fraction and integral Fraction
+    coefficients, constant terms and zero, under degrevlex and lex with
+    shuffled priority lists, without an order, and under orders that miss a
+    variable (TermOrder.key's ValueError)."""
+    rng = random.Random(2203)
+    names = ["x", "y", "u", "v", "w"]
+    seen = set()
+    for _ in range(600):
+        variables = rng.sample(names, rng.randint(1, 4))
+        p = seeded_poly(rng, tuple(variables), max_terms=6, max_deg=3, laurent=True)
+        if rng.random() < 0.3:
+            p = p + Poly.const(rng.choice((1, -1, 2, Fraction(1, 3))))
+        if rng.random() < 0.2 and p.terms:
+            m = rng.choice(list(p.terms))
+            p = Poly._raw({**p.terms, m: Fraction(rng.choice((1, -1, 3)))})
+        covered = list(variables) if rng.random() < 0.85 else variables[1:]
+        covered += rng.sample([v for v in names if v not in variables], rng.randint(0, 1))
+        rng.shuffle(covered)
+        for order in (TermOrder("degrevlex", covered), TermOrder("lex", covered), None):
+            want = _render_outcome(_reference_render_poly, p, order)
+            assert _render_outcome(render_poly, p, order) == want, (p.terms, order)
+            seen.add("error" if isinstance(want, tuple) else "zero" if want == "0" else "text")
+        seen.update(type(c).__name__ for c in p.terms.values())
+        seen.update("constant" for m in p.terms if m == ())
+    assert seen == {"error", "zero", "text", "int", "Fraction", "constant"}
+    with pytest.raises(ValueError, match="^variable 'y' not covered by term order$"):
+        render_poly(parse_poly("x + y"), TermOrder("lex", ("x",)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(polys(), polys(), polys())
 def test_ring_axioms(a, b, c):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -265,3 +266,28 @@ def test_var_is_the_normal_form_of_the_variable():
             assert list(got.numer.terms.items()) == list(want.numer.terms.items())
             assert got.denom == want.denom
     assert cases[2].var("x") == cases[2].element("y + 1") and cases[3].var("y").is_zero()
+
+
+def test_extend_reuses_the_reduced_basis(monkeypatch):
+    """``extend`` keeps the parent's reduced basis; a fresh Buchberger run
+    over the extended order gives the same polynomials, leads and order.
+    Checked on the ``lnd`` presentations of one benchmark queries round (with
+    and without ``invert: x``), each extended by a parameter t as the
+    exponential does, with t inverted or not, and on the X(m, n)
+    presentations with parameter t."""
+    from gawb import groebner
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import inputs
+
+    texts = {q["presentation"] for q in inputs.query_inputs(0, 0, 2156) if q["kind"] == "lnd"}
+    assert len(texts) == 588 and sum("invert: x" in t for t in texts) == 196
+    bases = [AlgebraPresentation.from_text(t) for t in sorted(texts)]
+    bases += [catalog.xmn_presentation(m, n, inv) for m in (1, 2, 3) for n in (1, 2, 3) for inv in ((), ("x",))]
+    bases.append(AlgebraPresentation(["x", "y", "z"], ["x*y - z^2", "y^3 - x"], order=TermOrder("lex", "zyx")))
+    for k, base in enumerate(bases):
+        ext = base.extend(["t"], [Poly.variable("t")] if k % 2 else [])
+        fresh = groebner.buchberger(list(ext.relations), ext.order)
+        assert ext.basis.order == ext.order == TermOrder(base.order.kind, base.order.variables + ("t",))
+        assert ext.basis.polys == fresh.polys and ext.basis.leads == fresh.leads
+        assert ext.basis.generators == fresh.generators

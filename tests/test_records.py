@@ -4,7 +4,8 @@ Only five records are dataclasses; the others are ``NamedTuple``s or plain
 slotted classes, whose definition runs no generated code.  These tests pin
 that split, the reason each dataclass gives for staying one, the checks the
 validated constructors make, the equality and hash of the records callers
-compare, and that ``gawb eval`` imports none of the modules it does not use.
+compare, and that ``gawb eval`` and ``gawb affine-cert`` import none of the
+modules they do not use.
 """
 
 import ast
@@ -85,17 +86,23 @@ def test_each_dataclass_states_its_reason():
 
 
 def test_eval_imports_no_registry_modules():
-    code = (
-        "import sys\n"
-        "from gawb import cli\n"
-        "assert cli.main(['eval', 'x+1']) == 0\n"
-        "print(sorted(m for m in ('gawb.claims', 'gawb.p1bundles', 'gawb.surfaces') if m in sys.modules))\n"
-    )
+    """``gawb eval`` and ``gawb affine-cert`` import no module of the claim
+    registry, the bundles or the surfaces."""
     env_path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": env_path}, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["x + 1", "[]"]
+    for argv, out in [
+        (["eval", "x+1"], "x + 1"),
+        (["affine-cert", "2", "2", "x*y"], "UnitCertificate: Case2(b=1, n->1) -> Case1(a=1, q0=1, k=1)"),
+    ]:
+        code = (
+            "import sys\n"
+            "from gawb import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('gawb.claims', 'gawb.p1bundles', 'gawb.surfaces') if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": env_path}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [out, "[]"]
 
 
 @pytest.mark.parametrize("build, cls, message", [

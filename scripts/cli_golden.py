@@ -74,6 +74,7 @@ MORE_CASES = [
     ["--json", "h0", "--matrix", '[["u^3","u^-1 + 2*u"],["0","u^-1"]]', "--j", "1"],
     ["--json", "lnd", "exp", "--presentation", "vars: x,y,z,u,v; relations: x^2*v - y*u - z^3",
      "--derivation", "der: u -> x^2; v -> y; x -> 0; y -> 0; z -> 0"],
+    ["eval", "x ^ - 2"],
 ]
 
 # One case per parse-error class, and one per engine bound.
@@ -94,6 +95,15 @@ ERROR_CASES = [
     ["--power-bound", "1", "verify-paper", "--only", "zmnk-family"],
     ["intersect", "--surface", "G2", "--d1", "1,3", "--d2", "1,3"],
     ["lnd", "slice", "--presentation", PRES, "--derivation", DER],
+    ["eval", "1 / 0"],                      # zero denominator, spaced
+    ["eval", "(x + y) ^ -1"],               # negative power of a sum, spaced
+    ["eval", "x", "--vars", "x,x"],         # repeated variable
+    ["eval", "x", "--vars", "x,y z"],       # variable that is not an identifier
+    ["eval", "x", "--vars", ""],            # no variables
+    ["lnd", "check", "--presentation", "vars: x,y,u,v; relation: x^2*v - y^2*u - 1",
+     "--derivation", DER],                  # unknown section
+    ["lnd", "check", "--presentation", PRES + "; relations: x", "--derivation", DER],
+    ["lnd", "check", "--presentation", PRES, "--derivation", DER + "; u -> 0"],
 ]
 
 CASES = (

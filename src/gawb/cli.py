@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on engine errors, 2 on usage errors.  The
 verify-paper subcommand exits 0 even when discrepancies are documented; they
-are findings, not failures.  Every flag has a GAWB_-prefixed environment
-variable override.
+are findings, not failures.  The five global flags (--json, --seed,
+--groebner-budget, --nilpotency-bound, --power-bound) have GAWB_-prefixed
+environment variable overrides.
 
 --matrix, --presentation and --derivation take inline text or the name of a
 file holding it; a value that is both an existing file and valid inline text
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, TypeVar
@@ -171,6 +173,19 @@ def _ints(flag: str, text: str, count: int) -> List[int]:
     return values
 
 
+def _declared_vars(text: str) -> List[str]:
+    """The ``--vars`` list: one or more distinct identifiers, or a usage error."""
+    if not text.strip():
+        raise UsageError(f"--vars needs at least one variable, got {text!r}")
+    variables = [v.strip() for v in text.split(",")]
+    for k, v in enumerate(variables):
+        if not re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", v):
+            raise UsageError(f"--vars entry {v!r} is not an identifier")
+        if v in variables[:k]:
+            raise UsageError(f"--vars entry {v!r} is repeated")
+    return variables
+
+
 def _parse_surface(text: str) -> surfaces.RuledSurface:
     from . import surfaces
     t = text.strip()
@@ -194,9 +209,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _cmd_eval(args) -> int:
-    variables = None
-    if args.vars:
-        variables = [v.strip() for v in args.vars.split(",") if v.strip()]
+    variables = None if args.vars is None else _declared_vars(args.vars)
     poly = parse_poly(args.expr, variables)
     order = TermOrder("degrevlex", variables) if variables else None
     text = render_poly(poly, order)

@@ -121,7 +121,10 @@ class Derivation:
             if "->" not in part:
                 raise ValueError(f"malformed derivation entry {part!r}")
             v, img = part.split("->", 1)
-            images[v.strip()] = img.strip()
+            v = v.strip()
+            if v in images:
+                raise ValueError(f"derivation gives the image of {v!r} twice")
+            images[v] = img.strip()
         return Derivation(ring, images)
 
 

@@ -13,13 +13,14 @@ legal on a unit (single-term) base.  Rational literals are written ``p/q``.
 An explicit ``*`` is required between factors.  Error positions are 0-based
 character offsets into the text.
 
-One ``findall`` splits the text into coarse tokens: an integer with its
-``/INT`` and ``^[-]INT``, an identifier or a ``)`` with its ``^[-]INT``,
-another operator, or a bad character.  A part is absorbed only when it is
-complete and unspaced, so ``x ^ 2``, ``x^-y`` or ``1/`` reach the grammar
-character by character, as before.  Tokens carry no positions: an error
-rescans the text with ``finditer``, reports the first bad character before
-any syntax error, and takes its position from the match.
+One ``findall`` splits the text into whole-factor tokens: an integer with
+its ``/INT`` and ``^[-]INT``, an identifier or a ``)`` with its ``^[-]INT``,
+another operator, or a bad character.  A token takes these parts with any
+whitespace around ``/`` and ``^`` and after the exponent's ``-``, so every
+valid ``/INT`` and ``^[-]INT`` is read from its own token; an operator ``/``
+or ``^`` right after a factor only ever raises.  Tokens carry no positions:
+an error rescans the text with ``finditer``, reports the first bad character
+before any syntax error, and takes its position from the match.
 
 Terms are built without ``Poly`` arithmetic: an identifier adds to the
 term's exponent dict, and the coefficient is an ``int`` numerator and
@@ -39,14 +40,18 @@ from typing import Iterable, Optional
 
 from .poly import LaurentSubstitutionError, Poly, mono_factors, mono_from_map
 
-# A token is the tuple of these groups, "" where a group did not take part:
-# 0 an integer, 1 its denominator, 2 an identifier, 3 ")", 4 the exponent of
-# any of those three, 5 another operator, 6 a bad character.
+# A token is the tuple of these groups (match group k + 1 at index k), "" where
+# a group did not take part: 0 an operator other than ")", 1 an identifier, 2
+# an integer, 3 its denominator, 4 ")", 5 the "-" and 6 the digits of the
+# exponent of any of those three, 7 a bad character.  Operators come first as
+# the most frequent tokens.  Only the "-" carries the blanks after it: blanks
+# on both sides of an optional "-" would scan a blank run after "^" once per
+# way of splitting it.
 _TOKEN_RE = re.compile(
-    r"(?:(\d+)(?:/(\d+))?|([a-zA-Z][a-zA-Z0-9_]*)|(\)))(?:\^(-?\d+))?|([-+*/^(])|(\S)"
+    r"([-+*/^(])|(?:([a-zA-Z][a-zA-Z0-9_]*)|(\d+)(?:\s*/\s*(\d+))?|(\)))"
+    r"(?:\s*\^\s*(?:(-)\s*)?(\d+))?|(\S)"
 )
-_END = ("",) * 7
-_DEN, _EXP = 2, 5  # match groups of a token's "/INT" and "^[-]INT"
+_END = ("",) * 8
 
 
 class PolyParseError(ValueError):
@@ -68,30 +73,30 @@ class _Parser:
     (num 0 for zero); a factor of several terms is ``None`` with its
     ``Poly``."""
 
-    __slots__ = ("text", "tokens", "i", "variables", "depth")
+    __slots__ = ("text", "tokens", "i", "variables")
 
     def __init__(self, text: str, variables: Optional[set]):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text) + [_END, _END]
         self.i = 0
         self.variables = variables
-        self.depth = 0  # parentheses open around the current factor
 
-    def error(self, i: int, message: Optional[str] = None, group: int = 0, shift: int = 0,
+    def error(self, i: int, message: Optional[str] = None, group: int = 0,
               name: Optional[str] = None) -> PolyParseError:
-        """The error at token i (at its match group plus shift), ``unexpected
-        token`` without a message; the first bad character comes first."""
+        """The error at the start of match group ``group`` of token i (group 7,
+        the exponent, puts it at the exponent's ``^``), ``unexpected token``
+        without a message; the first bad character comes first."""
         found = list(_TOKEN_RE.finditer(self.text))
         for m in found:
-            if m[7]:
-                return PolyParseError(f"unexpected character {m[7]!r}", m.start())
+            if m[8]:
+                return PolyParseError(f"unexpected character {m[8]!r}", m.start())
         if i >= len(found):
             return PolyParseError(message or "unexpected end of input", len(self.text))
         m = found[i]
-        pos = m.start(group) + shift
         if name is not None:
-            return UndeclaredVariableError(name, pos)
-        return PolyParseError(message or f"unexpected token {m[1] or m[3] or m[4] or m[6]!r}", pos)
+            return UndeclaredVariableError(name, m.start())
+        pos = self.text.rindex("^", 0, m.start(7)) if group == 7 else m.start(group)
+        return PolyParseError(message or f"unexpected token {m[1] or m[2] or m[3] or m[5]!r}", pos)
 
     def parse(self) -> Poly:
         terms = self.expr()
@@ -101,7 +106,7 @@ class _Parser:
 
     def expr(self) -> dict:
         tokens = self.tokens
-        op = tokens[self.i][5]
+        op = tokens[self.i][0]
         negate = op == "-"
         if negate or op == "+":
             self.i += 1
@@ -118,7 +123,7 @@ class _Parser:
                         acc[m] = n
                     else:
                         del acc[m]
-            op = tokens[self.i][5]
+            op = tokens[self.i][0]
             if op != "+" and op != "-":
                 return acc
             self.i += 1
@@ -137,16 +142,15 @@ class _Parser:
         p = None  # the term as a Poly, once it meets a factor of several terms
         while True:
             t = tokens[i]
-            nxt = tokens[i + 1][5]
-            name = t[2]
+            nxt = tokens[i + 1][0]
+            name = t[1]
             if name and p is None and nxt != "^":
                 if variables is not None and name not in variables:
                     raise self.error(i, name=name)
-                k = t[4]
-                exps[name] = get(name, 0) + (int(k) if k else 1)
+                exps[name] = get(name, 0) + (int(t[5] + t[6]) if t[6] else 1)
                 i += 1
-            elif t[0] and not t[1] and not t[4] and p is None and nxt != "^" and nxt != "/":
-                num *= int(t[0])
+            elif t[2] and not t[3] and not t[6] and p is None and nxt != "^" and nxt != "/":
+                num *= int(t[2])
                 i += 1
             else:
                 first = i == start
@@ -165,7 +169,7 @@ class _Parser:
                         exps[v] = get(v, 0) + e
                 else:
                     p = p * Poly.monomial(mono_from_map(m), Fraction(c[0], c[1]) if c[2] else c[0])
-            if tokens[i][5] != "*":
+            if tokens[i][0] != "*":
                 break
             i += 1
         self.i = i
@@ -175,45 +179,36 @@ class _Parser:
         return ((mono_from_map(exps), c),) if c else ()
 
     def factor(self) -> tuple:
+        """The primary at token i, raised to the exponent its last token
+        holds.  A ``/`` or ``^`` token right after that token never begins a
+        valid part, which the token would hold, so it is read only to raise."""
         tokens = self.tokens
         i = self.i
         t = tokens[i]
-        at = i  # the token whose "^[-]INT" is this factor's exponent
-        stray = None  # (token, group) of a part that the factor cannot take
-        i += 1
-        if t[2]:
-            if self.variables is not None and t[2] not in self.variables:
-                raise self.error(at, name=t[2])
-            c, m = (1, 1, False), {t[2]: 1}
-        elif t[0]:
-            n, d, d_at, d_group = int(t[0]), t[1], at, _DEN
-            if not d and not t[4] and tokens[i][5] == "/":
-                u = tokens[i + 1]
-                if not u[0]:
-                    raise self.error(i + 1, "expected integer denominator")
-                d, d_at, d_group = u[0], i + 1, 0
-                at = i + 1
-                if u[1]:
-                    stray = (at, _DEN)
-                i += 2
-            if d:
-                d = int(d)
+        if t[1]:
+            if self.variables is not None and t[1] not in self.variables:
+                raise self.error(i, name=t[1])
+            c, m = (1, 1, False), {t[1]: 1}
+        elif t[2]:
+            n = int(t[2])
+            if t[3]:
+                d = int(t[3])
                 if not d:
-                    raise self.error(d_at, "zero denominator", d_group)
+                    raise self.error(i, "zero denominator", 4)
                 g = gcd(n, d)
                 c = (n // g, d // g, d != g)
+            elif not t[6] and tokens[i + 1][0] == "/":
+                raise self.error(i + 2, "expected integer denominator")
             else:
                 c = (n, 1, False)
             m = {}
-        elif t[5] == "(":
-            self.depth += 1
-            self.i = i
+        elif t[0] == "(":
+            self.i = i + 1
             terms = self.expr()
-            i = at = self.i
-            if not tokens[i][3]:
+            i = self.i
+            t = tokens[i]
+            if not t[4]:
                 raise self.error(i, "expected ')'")
-            self.depth -= 1
-            i += 1
             if len(terms) == 1:
                 ((mono, coeff),) = terms.items()
                 c, m = (coeff.numerator, coeff.denominator, type(coeff) is Fraction), dict(mono_factors(mono))
@@ -222,44 +217,29 @@ class _Parser:
             else:
                 c, m = (0, 1, False), {}
         else:
-            raise self.error(at)
-        k = None
-        if stray is None and tokens[at][4]:
-            k, caret = int(tokens[at][4]), (at, _EXP, -1)
-        elif stray is None and tokens[i][5] == "^":
-            caret = (i, 0, 0)
-            sign = -1 if tokens[i + 1][5] == "-" else 1
-            i += 2 if sign < 0 else 1
-            u = tokens[i]
-            if not u[0]:
-                raise self.error(i, "expected integer exponent")
-            k = sign * int(u[0])
-            if u[1] or u[4]:
-                stray = (i, _DEN if u[1] else _EXP)
-            i += 1
-        self.i = i
+            raise self.error(i)
+        self.i = i + 1
+        if not t[6]:
+            if tokens[i + 1][0] == "^":
+                raise self.error(i + 3 if tokens[i + 2][0] == "-" else i + 2, "expected integer exponent")
+            return c, m
+        k = int(t[5] + t[6])
         if k == 0:
-            c, m = (1, 1, False), {}
-        elif k is not None:
-            if c is not None and c[0]:
-                n, d, f = c
-                if k > 0:
-                    c = (n ** k, d ** k, f)
-                elif d == 1 and (n == 1 or n == -1):
-                    c = (n ** -k, 1, False)
-                else:
-                    c = (d ** -k, n ** -k, True)
-                m = {v: e * k for v, e in m.items()}
+            return (1, 1, False), {}
+        if c is not None and c[0]:
+            n, d, f = c
+            if k > 0:
+                c = (n ** k, d ** k, f)
+            elif d == 1 and (n == 1 or n == -1):
+                c = (n ** -k, 1, False)
             else:
-                try:
-                    p = (Poly.zero() if c is not None else m) ** k
-                except LaurentSubstitutionError as e:
-                    raise self.error(caret[0], str(e), caret[1], caret[2]) from None
-                c, m = (None, p) if p.terms else ((0, 1, False), {})
-        if stray is not None:  # the grammar ends the term here, then fails at this "/" or "^"
-            message = "expected ')'" if self.depth else f"unexpected token {'/' if stray[1] == _DEN else '^'!r}"
-            raise self.error(stray[0], message, stray[1], -1)
-        return c, m
+                c = (d ** -k, n ** -k, True)
+            return c, {v: e * k for v, e in m.items()}
+        try:
+            p = (Poly.zero() if c is not None else m) ** k
+        except LaurentSubstitutionError as e:
+            raise self.error(i, str(e), 7) from None
+        return (None, p) if p.terms else ((0, 1, False), {})
 
 
 def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> Poly:

@@ -29,6 +29,9 @@ class PresentationError(ValueError):
     pass
 
 
+_SECTIONS = ("vars", "invert", "relations", "order")  # the sections from_text reads
+
+
 class MismatchedPresentationsError(ValueError):
     pass
 
@@ -145,7 +148,14 @@ class AlgebraPresentation:
             if ":" not in chunk:
                 raise PresentationError(f"malformed presentation section {chunk!r}")
             k, v = chunk.split(":", 1)
-            fields[k.strip()] = v.strip()
+            k = k.strip()
+            if k not in _SECTIONS:
+                raise PresentationError(
+                    f"unknown presentation section {k!r} (expected one of {', '.join(_SECTIONS)})"
+                )
+            if k in fields:
+                raise PresentationError(f"presentation section {k!r} given twice")
+            fields[k] = v.strip()
         if "vars" not in fields:
             raise PresentationError("presentation text must declare 'vars'")
         variables = [v.strip() for v in fields["vars"].split(",") if v.strip()]

@@ -36,6 +36,16 @@ def test_eval_undeclared_variable_is_engine_error(capsys):
     assert "undeclared" in err
 
 
+# the golden transcripts hold "", "x,y z" and "x,x"
+@pytest.mark.parametrize("vars_, message", [
+    ("x,", "--vars entry '' is not an identifier"),
+    ("x, y ,x", "--vars entry 'x' is repeated"),
+])
+def test_eval_bad_vars_is_usage_error(capsys, vars_, message):
+    code, out, err = run(capsys, "eval", "x", "--vars", vars_)
+    assert (code, out, err) == (2, "", f"gawb: error: {message}\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])

@@ -277,6 +277,12 @@ def test_derivation_serialization(x22):
     assert all(d.images[v] == d2.images[v] for v in pres.variables)
 
 
+def test_derivation_text_rejects_repeated_generator(x22):
+    pres, _ = x22
+    with pytest.raises(ValueError, match="image of 'u' twice"):
+        Derivation.from_text(pres, "der: u -> x^2; v -> y^2; u -> 0")
+
+
 def test_failed_action_residual_visible_at_points():
     # a wrong twist exponent fails symbolically and the recorded residual is
     # a genuinely nonzero function: some sample point exposes it

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,9 @@ def test_matches_reference_on_fixed_cases():
         "2 /3/4", "(2 /3/4)", "x ^2/3", "(x ^2^3)", "2^3 /4", "0 /3^-1", "2 /0/4",
         "(x+y) ^-1/2", "(1/2*2)^-1", "((1/2)*x + (1/2)*x)^-1", "(-2/3)^-2*x", "x*0*(x+y)",
         "x x $", "x)^2", "2^- 3/4", "1/ 2^3", "x*(y+1)*2/3*x",
+        # a token takes its spaced "/INT" and "^[-]INT"; a "/" or "^" left after it raises
+        "1 / 0", "0 / 5 ^ -1", "x ^ - 2", "( x + y ) ^ - 1", "2 ^ 3 ^ 4", "(2 ^ 3 ^ 4)",
+        "1 /x", "x ^", "x ^ -", "1 / 2 / 3",
     ]
     for text in cases:
         for variables in (None, _VARS):
@@ -306,13 +310,24 @@ def test_matches_reference_on_fixed_cases():
             assert _outcome(parse_poly, text, variables) == want, (text, variables)
 
 
+def _spaced(rng, text):
+    """text with spaces and tabs put around each "/" and "^" and after the
+    "-" of an exponent."""
+    text = re.sub(r"[/^]", lambda m: rng.choice(_SPACES) + m[0] + rng.choice(_SPACES), text)
+    return re.sub(r"\^\s*-", lambda m: m[0] + rng.choice(_SPACES), text)
+
+
 def test_matches_reference_on_seeded_strings():
     """20,000 grammar-generated strings, 40% of them mutated into (mostly)
-    malformed ones, each parsed with and without a variable list."""
+    malformed ones, each parsed with and without a variable list; then the
+    first 5,000 again with whitespace inside their "/INT" and "^[-]INT"."""
     rng = random.Random(31)
     seen = set()
+    first = []
     for text in _seeded_texts(rng, 20_000):
         variables = _VARS if rng.random() < 0.5 else None
+        if len(first) < 5_000:
+            first.append((text, variables))
         want = _outcome(_reference_parse_poly, text, variables)
         assert _outcome(parse_poly, text, variables) == want, (text, variables)
         if isinstance(want, list):
@@ -328,3 +343,18 @@ def test_matches_reference_on_seeded_strings():
         "zero denominator", "undeclared variable '?'",
         "negative power requires a single-term (unit) polynomial",
     }
+    rng = random.Random(32)
+    for text, variables in first:
+        text = _spaced(rng, text)
+        want = _outcome(_reference_parse_poly, text, variables)
+        assert _outcome(parse_poly, text, variables) == want, (text, variables)
+
+
+def test_whitespace_run_after_caret_parses_in_linear_time():
+    # the token pattern takes the blanks after "^" once; "\s*" on both sides of
+    # an optional "-" would try every split of them (seconds for this text)
+    text = "x^" + " " * 20_000 + "y"
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match="expected integer exponent"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 1.0

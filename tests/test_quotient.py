@@ -163,6 +163,17 @@ def test_presentation_text_roundtrip():
     assert AlgebraPresentation.from_text(pres.to_text()).to_text() == pres.to_text()
 
 
+def test_presentation_text_rejects_unknown_section():
+    # "relation" is not a section: reading past it would drop the relation
+    with pytest.raises(PresentationError, match="unknown presentation section 'relation'"):
+        AlgebraPresentation.from_text("vars: x,y,u,v; relation: x^2*v - y^2*u - 1")
+
+
+def test_presentation_text_rejects_repeated_section():
+    with pytest.raises(PresentationError, match="section 'relations' given twice"):
+        AlgebraPresentation.from_text("vars: x,y,u,v; relations: x^2*v - y^2*u - 1; relations: x")
+
+
 def test_presentation_validation():
     with pytest.raises(PresentationError):
         AlgebraPresentation(["x", "x"])

@@ -72,6 +72,10 @@ MORE_CASES = [
     ["--json", "affine-cert", "3", "2", "2*x*y + 1/3*x^2*y + y"],
     ["h0", "--matrix", '[["u^3","u^-1 + 2*u"],["0","u^-1"]]', "--j", "1"],
     ["--json", "h0", "--matrix", '[["u^3","u^-1 + 2*u"],["0","u^-1"]]', "--j", "1"],
+    ["h0", "--matrix", MATRIX, "--j", "-3"],
+    ["--json", "h0", "--matrix", MATRIX, "--j", "-3"],
+    ["h0", "--matrix", '[["u^3","u^-1 + 2*u"],["0","u^-1"]]', "--j", "2"],
+    ["--json", "h0", "--matrix", '[["u^3","u^-1 + 2*u"],["0","u^-1"]]', "--j", "2"],
     ["--json", "lnd", "exp", "--presentation", "vars: x,y,z,u,v; relations: x^2*v - y*u - z^3",
      "--derivation", "der: u -> x^2; v -> y; x -> 0; y -> 0; z -> 0"],
     ["eval", "x ^ - 2"],

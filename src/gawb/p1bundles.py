@@ -16,6 +16,13 @@ multiple of one row to the other, the row of smaller valuation, which
 cancels its lowest-order vector.  Each step raises that row's valuation by
 at least 1, and the two valuations sum to at most the determinant's
 exponent, so the determinant bounds the number of steps.
+
+The h^0 of a twist takes one exact solve at a proven degree bound.  Write hi
+for the largest u-exponent of M and e for its determinant exponent.  A
+section of E(j) has degree at most B = hi - e + j, since g = adj(M_j).h /
+det(M_j) with h regular in u^-1 and det(M_j) = c u^(e - 2j).  The first twist
+with a section, -a1, lies in e - hi .. e // 2: below it B < 0, and
+a1 >= a2 with a1 + a2 = -e gives -a1 <= e // 2.
 """
 
 from __future__ import annotations
@@ -141,10 +148,6 @@ class TransitionMatrix2:
         return TransitionMatrix2(
             tuple(tuple(_u_power(p, -j) for p in row) for row in self.entries)
         )
-
-    def exponent_spread(self) -> int:
-        ranges = [p.exponent_range(U) for row in self.entries for p in row if not p.is_zero()]
-        return max(hi for _, hi in ranges) - min(lo for lo, _ in ranges) if ranges else 0
 
     def to_json(self) -> list:
         return [[render_poly(p) for p in row] for row in self.entries]
@@ -299,75 +302,67 @@ def _validate_factorization(fac: BirkhoffFactorization):
 # -- h^0 of twists --------------------------------------------------------------
 
 
-def h0_twist(M: TransitionMatrix2, j: int, degree_cap: int = 24) -> Tuple[int, List[Tuple[Poly, Poly]]]:
+def _top_exponent(M: TransitionMatrix2) -> int:
+    """The largest u-exponent among M's nonzero entries."""
+    return max(p.exponent_range(U)[1] for row in M.entries for p in row if not p.is_zero())
+
+
+def h0_twist(M: TransitionMatrix2, j: int) -> Tuple[int, List[Tuple[Poly, Poly]]]:
     """Dimension and basis of global sections of E tensor O(j).
 
-    Sections are pairs g in C[u]^2 with M_j.g polynomial in u^-1.  The degree
-    bound B for g is scanned upward until the sections of degree <= B+1 all
-    have degree <= B.  One solve at B+1 shows both: its canonical basis lists
-    the degree-B sections first, as the vectors whose two top coefficients
-    vanish.  The Birkhoff splitting provides an independent cross-check on
-    callers' side.
+    Sections are pairs g in C[u]^2 with h = M_j.g polynomial in u^-1, where
+    M_j = u^-j M.  As g = adj(M_j).h / det(M_j), with no power of u in
+    adj(M_j) above hi - j and det(M_j) = c u^(e - 2j), deg g <= B = hi - e + j.
+    B < 0 leaves no section and no solve; otherwise one solve over g1_0 ..
+    g1_B, g2_0 .. g2_B, one row per positive power of u in M_j.g, gives the
+    canonical kernel basis.
     """
-    Mj = M.twist(j).entries
-    b0 = M.exponent_spread() + abs(j) + 2
-    for B in range(b0, b0 + degree_cap):
-        basis = _h0_fixed_degree(Mj, B + 1)
-        if all(not v[-2] and not v[-1] for v in basis):
-            sections = [(_u_coeffs_poly(v[:B + 1]), _u_coeffs_poly(v[B + 1:2 * B + 2])) for v in basis]
-            return len(sections), sections
-    raise RuntimeError("h0 scan did not stabilize within the degree cap")
-
-
-def _h0_fixed_degree(Mj, D: int) -> List[List[Coeff]]:
-    """Canonical kernel basis of the conditions that M_j.g has no positive
-    power of u, for g of degree <= D.
-
-    Columns hold the coefficients of g1 below degree D, then those of g2,
-    then the degree-D coefficients of g1 and g2; one sparse integer row per
-    power of u.
-    """
-    cols = [[part * D + deg for deg in range(D)] + [2 * D + part] for part in range(2)]
+    B = _top_exponent(M) - M.det_exponent + j
+    if B < 0:
+        return 0, []
     rows = []
-    for r in range(2):
+    for row in M.entries:
         eqs: Dict[int, Dict[int, Coeff]] = {}
-        for part in range(2):
-            for m, c in Mj[r][part].terms.items():
-                e = mono_exp(m, U)
-                for deg in range(max(0, 1 - e), D + 1):
-                    eq = eqs.setdefault(e + deg, {})
-                    col = cols[part][deg]
+        for part, p in enumerate(row):
+            for m, c in p.terms.items():
+                ex = mono_exp(m, U) - j
+                for deg in range(max(0, 1 - ex), B + 1):
+                    eq = eqs.setdefault(ex + deg, {})
+                    col = part * (B + 1) + deg
                     eq[col] = eq.get(col, 0) + c
         rows.extend(eqs[k] for k in sorted(eqs))
-    return kernel_basis(rows, 2 * D + 2)
+    sections = [(_u_coeffs_poly(v[:B + 1]), _u_coeffs_poly(v[B + 1:]))
+                for v in kernel_basis(rows, 2 * B + 2)]
+    return len(sections), sections
 
 
 def _u_coeffs_poly(coeffs: Sequence[Coeff]) -> Poly:
     return Poly({mono(u=d): c for d, c in enumerate(coeffs) if c})
 
 
-def splitting_by_h0_scan(M: TransitionMatrix2, scan_cap: int = 64) -> SplittingType:
+def splitting_by_h0_scan(M: TransitionMatrix2) -> SplittingType:
     """Infer the splitting type from the h^0 profile of twists alone.
 
     a1 is minus the first twist with a section; a2 follows from the
-    determinant exponent; the whole profile over the jump window is then
-    checked against the split model.
+    determinant exponent e.  That twist lies in the window e - hi .. e // 2:
+    below it the degree bound of ``h0_twist`` is negative, and -a1 <= e // 2
+    because a1 >= a2 and a1 + a2 = -e.  The whole profile over the jump
+    window is then checked against the split model.
     """
     dims: Dict[int, int] = {}
 
     def h0(twist: int) -> int:
-        # the profile check revisits twists -a1-1 and -a1 of the first loop
+        # the profile check revisits the first loop's last twists
         if twist not in dims:
             dims[twist] = h0_twist(M, twist)[0]
         return dims[twist]
 
     e = M.det_exponent
-    start = -(M.exponent_spread() + abs(e) + 2)
-    j = start
-    while h0(j) == 0:
-        j += 1
-        if j - start > scan_cap:
-            raise RuntimeError("h0 scan found no sections within the window")
+    for j in range(e - _top_exponent(M), e // 2 + 1):
+        if h0(j):
+            break
+    else:
+        raise RuntimeError("h0 scan found no sections within the window")
     a1 = -j
     a2 = -e - a1
     if a1 < a2:

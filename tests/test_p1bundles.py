@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gawb import p1bundles
 from gawb.derivations import GroupLaw
+from gawb.linalg import kernel_basis
 from gawb.p1bundles import (
     NonMonomialDeterminantError,
     SplittingType,
@@ -121,9 +124,9 @@ def test_birkhoff_reduction_branches(rows, exponents, left):
     assert fac.splitting == splitting_by_h0_scan(M)
 
 
-def test_birkhoff_on_sheared_extension_grid():
-    """[[1, c u^-e], [0, 1]] * [[u^(m+n), u^m], [0, 1]] * [[1, 0], [d u^l, 1]]
-    has the splitting type (-n, -m) of the middle factor."""
+def _sheared_extensions():
+    """``(m, n, M)`` for 16 seeded M = [[1, c u^-e], [0, 1]] *
+    [[u^(m+n), u^m], [0, 1]] * [[1, 0], [d u^l, 1]]."""
     rng = random.Random(4417)
     for _ in range(16):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
@@ -137,9 +140,15 @@ def test_birkhoff_on_sheared_extension_grid():
         for B in (transition_matrix(m, n).entries, R):
             prod = tuple(tuple(prod[i][0] * B[0][j] + prod[i][1] * B[1][j] for j in range(2))
                          for i in range(2))
-        M = TransitionMatrix2(prod)
+        yield m, n, TransitionMatrix2(prod)
+
+
+def test_birkhoff_on_sheared_extension_grid():
+    """A sheared extension matrix has the splitting type (-n, -m) of the
+    middle factor."""
+    for m, n, M in _sheared_extensions():
         split = birkhoff_split(M).splitting
-        assert (split.a1, split.a2) == (-min(m, n), -max(m, n)), (m, n, c, d, e, l)
+        assert (split.a1, split.a2) == (-min(m, n), -max(m, n)), (m, n, M.to_json())
         assert split == splitting_by_h0_scan(M)
 
 
@@ -165,17 +174,21 @@ def test_grid_agreement():
 
 
 def test_h0_scan_solves_each_twist_once(monkeypatch):
+    """The scan starts at the degree bound's first twist, 0 here, and the
+    profile check ends at -a2 + 1 = m + 1: m + 2 twists, each solved once."""
     twists = []
     original = p1bundles.h0_twist
 
-    def counting(M, j, *args, **kwargs):
+    def counting(M, j):
         twists.append(j)
-        return original(M, j, *args, **kwargs)
+        return original(M, j)
 
     monkeypatch.setattr(p1bundles, "h0_twist", counting)
-    assert splitting_by_h0_scan(transition_matrix(3, 1)) == SplittingType(-1, -3)
-    assert len(twists) == 15
-    assert len(set(twists)) == 15
+    for m in range(1, 6):
+        for n in range(1, m + 1):
+            twists.clear()
+            assert splitting_by_h0_scan(transition_matrix(m, n)) == SplittingType(-n, -m)
+            assert sorted(twists) == list(range(m + 2)), (m, n, twists)
 
 
 def test_matrix_json_roundtrip():
@@ -195,12 +208,12 @@ def test_trivialization_reports():
         assert rep.points_checked == 20 and rep.point_failures == 0
 
 
-def _random_unit_matrix(rng, regular_in_u=True):
+def _random_unit_matrix(rng, regular_in_u=True, shears=3):
     # product of elementary shears and constant scalings: invertible over
     # C[u] (or C[u^-1]) with constant determinant
     ident = [[Poly.const(1), Poly.zero()], [Poly.zero(), Poly.const(1)]]
     M = ident
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, shears)):
         f = Poly.zero()
         for _ in range(rng.randint(1, 2)):
             e = rng.randint(0, 3) if regular_in_u else -rng.randint(0, 3)
@@ -214,19 +227,26 @@ def _random_unit_matrix(rng, regular_in_u=True):
     return M
 
 
-def test_birkhoff_on_random_conjugates():
-    # left * diag * right with known exponents must be recovered exactly
-    rng = random.Random(20240)
-    for _ in range(60):
-        e1, e2 = rng.randint(-3, 3), rng.randint(-3, 3)
-        L = _random_unit_matrix(rng, regular_in_u=False)
-        R = _random_unit_matrix(rng, regular_in_u=True)
+def _random_products(seed, count, top, shears=3):
+    """``(e1, e2, M)`` for ``count`` seeded M = left * diag(u^e1, u^e2) * right,
+    |e1|, |e2| <= top, with left invertible over C[u^-1] and right over C[u],
+    each a product of 1 .. ``shears`` shears."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        e1, e2 = rng.randint(-top, top), rng.randint(-top, top)
+        L = _random_unit_matrix(rng, regular_in_u=False, shears=shears)
+        R = _random_unit_matrix(rng, regular_in_u=True, shears=shears)
         D = [[Poly.monomial(mono(u=e1) if e1 else ()), Poly.zero()],
              [Poly.zero(), Poly.monomial(mono(u=e2) if e2 else ())]]
         prod = L
         for B in (D, R):
             prod = [[prod[i][0] * B[0][j] + prod[i][1] * B[1][j] for j in range(2)] for i in range(2)]
-        M = TransitionMatrix2(tuple(tuple(row) for row in prod))
+        yield e1, e2, TransitionMatrix2(tuple(tuple(row) for row in prod))
+
+
+def test_birkhoff_on_random_conjugates():
+    # left * diag * right with known exponents must be recovered exactly
+    for e1, e2, M in _random_products(20240, 60, 3):
         fac = birkhoff_split(M)
         expected = sorted((-e1, -e2), reverse=True)
         assert (fac.splitting.a1, fac.splitting.a2) == tuple(expected)
@@ -254,24 +274,135 @@ def test_splitting_type_sorted():
 
 def test_birkhoff_h0_agreement_on_dense_matrices():
     # dense random products: the factorization and the independent h0 scan
-    # must agree on every instance of modest exponent spread
-    rng = random.Random(990017)
-    done = 0
-    while done < 10:
-        e1, e2 = rng.randint(-2, 2), rng.randint(-2, 2)
-        L = _random_unit_matrix(rng, regular_in_u=False)
-        R = _random_unit_matrix(rng, regular_in_u=True)
-        D = [[Poly.monomial(mono(u=e1) if e1 else ()), Poly.zero()],
-             [Poly.zero(), Poly.monomial(mono(u=e2) if e2 else ())]]
-        prod = L
-        for B in (D, R):
-            prod = [[prod[i][0] * B[0][j] + prod[i][1] * B[1][j] for j in range(2)]
-                    for i in range(2)]
-        M = TransitionMatrix2(tuple(tuple(row) for row in prod))
-        if M.exponent_spread() > 7:
-            continue
+    # must agree on every instance
+    for e1, e2, M in _random_products(990017, 200, 2):
         fac = birkhoff_split(M)
         scan = splitting_by_h0_scan(M)
         assert fac.splitting == scan
         assert (fac.splitting.a1, fac.splitting.a2) == tuple(sorted((-e1, -e2), reverse=True))
-        done += 1
+
+
+# -- reference h^0: the degree scan with stability columns -----------------------
+#
+# h0_twist solves once at the proven bound B = hi - e + j and the splitting
+# scan runs over e - hi .. e // 2.  The references below guess instead: a
+# degree b0 = spread + |j| + 2, raised until two stability columns show no
+# section of higher degree, and a first twist -(spread + |e| + 2).
+
+
+def _reference_exponent_spread(M):
+    ranges = [p.exponent_range("u") for row in M.entries for p in row if not p.is_zero()]
+    return max(hi for _, hi in ranges) - min(lo for lo, _ in ranges) if ranges else 0
+
+
+def _reference_h0_fixed_degree(Mj, D):
+    """Canonical kernel basis of the conditions that M_j.g has no positive
+    power of u, for g of degree <= D: columns g1 below degree D, then g2, then
+    the degree-D coefficients of g1 and g2."""
+    cols = [[part * D + deg for deg in range(D)] + [2 * D + part] for part in range(2)]
+    rows = []
+    for r in range(2):
+        eqs = {}
+        for part in range(2):
+            for m, c in Mj[r][part].terms.items():
+                e = mono_exp(m, "u")
+                for deg in range(max(0, 1 - e), D + 1):
+                    eq = eqs.setdefault(e + deg, {})
+                    col = cols[part][deg]
+                    eq[col] = eq.get(col, 0) + c
+        rows.extend(eqs[k] for k in sorted(eqs))
+    return kernel_basis(rows, 2 * D + 2)
+
+
+def _reference_h0_twist(M, j, degree_cap=24):
+    Mj = M.twist(j).entries
+    b0 = _reference_exponent_spread(M) + abs(j) + 2
+    for B in range(b0, b0 + degree_cap):
+        basis = _reference_h0_fixed_degree(Mj, B + 1)
+        if all(not v[-2] and not v[-1] for v in basis):
+            sections = [(p1bundles._u_coeffs_poly(v[:B + 1]),
+                         p1bundles._u_coeffs_poly(v[B + 1:2 * B + 2])) for v in basis]
+            return len(sections), sections
+    raise RuntimeError("h0 scan did not stabilize within the degree cap")
+
+
+def _reference_splitting_by_h0_scan(M, sections, scan_cap=64):
+    """The wide-window scan; ``sections`` memoizes the reference
+    ``(dim, basis)`` of each twist it visits."""
+
+    def h0(twist):
+        if twist not in sections:
+            sections[twist] = _reference_h0_twist(M, twist)
+        return sections[twist][0]
+
+    e = M.det_exponent
+    start = -(_reference_exponent_spread(M) + abs(e) + 2)
+    j = start
+    while h0(j) == 0:
+        j += 1
+        if j - start > scan_cap:
+            raise RuntimeError("h0 scan found no sections within the window")
+    a1 = -j
+    a2 = -e - a1
+    if a1 < a2:
+        raise RuntimeError("h0 scan produced an unsorted splitting; determinant mismatch")
+    for jj in range(-a1 - 1, -a2 + 2):
+        expected = max(0, a1 + jj + 1) + max(0, a2 + jj + 1)
+        got = h0(jj)
+        if got != expected:
+            raise RuntimeError(
+                f"h0 profile disagrees with split model at twist {jj}: {got} != {expected}"
+            )
+    return SplittingType(a1, a2)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+
+
+def test_h0_matches_the_degree_scan_reference(monkeypatch):
+    """``h0_twist`` gives the reference's (dim, basis), polynomial for
+    polynomial and in the same order, at every twist the reference scan
+    visits, and ``splitting_by_h0_scan`` the same splitting type or error
+    text.  Checked on the extension matrices with m, n <= 6 (also at each
+    j in [-12, 12]), the matrices of the tests above (the fixed ones also at
+    each j in [-4, 4]), the splitting and h0 matrices of one benchmark
+    queries round and 200 seeded random products.  The reference systems
+    grow steeply with the exponent spread of M (one scan of a queries matrix
+    of spread 12 takes about 0.2 s), so the sheared, conjugated and
+    splitting-query matrices are compared only at spread <= 4, and the random
+    products have one shear on each side."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import inputs
+
+    cases = [(transition_matrix(m, n), range(-12, 13)) for m in range(1, 7) for n in range(1, 7)]
+    fixed = [
+        [["u^3", "0"], ["0", "u^-1"]],
+        [["u^2", "u^-1 + 2*u^-2 + 2*u^-3 + 2*u^-4"], ["0", "u^2"]],
+        [["u^-1", "1"], ["1", "2*u"]],
+        [["1", "2*u"], ["u^-1", "1"]],
+        [["1", "0"], ["1", "u"]],
+        [["1", "2"], ["3", "6 + u"]],
+        [["u", "1"], ["0", "1"]],
+        [["u^3", "u^-1 + 2*u"], ["0", "u^-1"]],
+    ]
+    cases += [(TransitionMatrix2.from_json(rows), range(-4, 5)) for rows in fixed]
+    by_spread = [M for _, _, M in _sheared_extensions()]
+    by_spread += [M for _, _, M in _random_products(20240, 60, 3)]
+    queries = inputs.query_inputs(0, 0, 2156)
+    by_spread += [TransitionMatrix2.loads(q["matrix"]) for q in queries if q["kind"] == "splitting"]
+    cases += [(M, ()) for M in by_spread if _reference_exponent_spread(M) <= 4]
+    cases += [(TransitionMatrix2.loads(q["matrix"]), (q["j"],)) for q in queries if q["kind"] == "h0"]
+    products = (M for _, _, M in _random_products(70001, 10 ** 6, 1, shears=1))
+    cases += [(M, ()) for M in itertools.islice(
+        (M for M in products if _reference_exponent_spread(M) <= 4), 200)]
+    assert len(cases) == 36 + 8 + (1 + 15 + 6) + 49 + 200
+    for M, twists in cases:
+        sections = {j: _outcome(_reference_h0_twist, M, j) for j in twists}
+        scan = _outcome(_reference_splitting_by_h0_scan, M, sections)
+        assert _outcome(splitting_by_h0_scan, M) == scan, M.to_json()
+        for j, want in sections.items():
+            assert _outcome(h0_twist, M, j) == want, (M.to_json(), j)

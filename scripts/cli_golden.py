@@ -108,6 +108,9 @@ ERROR_CASES = [
      "--derivation", DER],                  # unknown section
     ["lnd", "check", "--presentation", PRES + "; relations: x", "--derivation", DER],
     ["lnd", "check", "--presentation", PRES, "--derivation", DER + "; u -> 0"],
+    ["splitting", "--matrix", "5"],         # matrix that is not an array
+    ["h0", "--matrix", '[[null,"1"],["0","1"]]', "--j", "0"],   # entry that is not a string
+    ["splitting", "--matrix", '[[true,"u"],["0","1"]]'],        # boolean entry
 ]
 
 CASES = (

@@ -20,9 +20,9 @@ exponent, so the determinant bounds the number of steps.
 The h^0 of a twist takes one exact solve at a proven degree bound.  Write hi
 for the largest u-exponent of M and e for its determinant exponent.  A
 section of E(j) has degree at most B = hi - e + j, since g = adj(M_j).h /
-det(M_j) with h regular in u^-1 and det(M_j) = c u^(e - 2j).  The first twist
-with a section, -a1, lies in e - hi .. e // 2: below it B < 0, and
-a1 >= a2 with a1 + a2 = -e gives -a1 <= e // 2.
+det(M_j) with h regular in u^-1 and det(M_j) = c u^(e - 2j).  The splitting
+scan reads a1 off the single twist j0 = ceil(e/2) - 1: a1 >= a2 with
+a1 + a2 = -e gives a2 + j0 + 1 <= 0, so h0(E(j0)) = a1 + j0 + 1.
 """
 
 from __future__ import annotations
@@ -122,26 +122,20 @@ def sdm_from_mn(m: int, n: int) -> SdmTransition:
 
 
 class TransitionMatrix2:
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "det_exponent")
 
     def __init__(self, entries: Tuple[Tuple[Poly, Poly], Tuple[Poly, Poly]]):
         for row in entries:
             for p in row:
                 if p.variables() - {U}:
                     raise ValueError("matrix entries must be Laurent polynomials in u")
-        if not _mat_det(entries).is_single_term():
+        det = _mat_det(entries)
+        if not det.is_single_term():
             raise NonMonomialDeterminantError(
                 "transition matrix must have a nonzero monomial determinant"
             )
         self.entries = entries
-
-    def det(self) -> Poly:
-        return _mat_det(self.entries)
-
-    @property
-    def det_exponent(self) -> int:
-        m, _ = self.det().single_term()
-        return mono_exp(m, U)
+        self.det_exponent = mono_exp(det.single_term()[0], U)
 
     def twist(self, j: int) -> "TransitionMatrix2":
         """Transition of E tensor O(j): scalar twist u^-j on the u-chart side."""
@@ -153,8 +147,10 @@ class TransitionMatrix2:
         return [[render_poly(p) for p in row] for row in self.entries]
 
     @staticmethod
-    def from_json(data: Sequence[Sequence[str]]) -> "TransitionMatrix2":
-        if len(data) != 2 or any(len(r) != 2 for r in data):
+    def from_json(data: list) -> "TransitionMatrix2":
+        if not (isinstance(data, list) and len(data) == 2 and all(
+                isinstance(r, list) and len(r) == 2 and all(isinstance(s, str) for s in r)
+                for r in data)):
             raise ValueError("expected a 2x2 array of polynomial strings")
         return TransitionMatrix2(
             tuple(tuple(u_poly(s) for s in row) for row in data)
@@ -343,33 +339,19 @@ def _u_coeffs_poly(coeffs: Sequence[Coeff]) -> Poly:
 def splitting_by_h0_scan(M: TransitionMatrix2) -> SplittingType:
     """Infer the splitting type from the h^0 profile of twists alone.
 
-    a1 is minus the first twist with a section; a2 follows from the
-    determinant exponent e.  That twist lies in the window e - hi .. e // 2:
-    below it the degree bound of ``h0_twist`` is negative, and -a1 <= e // 2
-    because a1 >= a2 and a1 + a2 = -e.  The whole profile over the jump
-    window is then checked against the split model.
+    With e the determinant exponent, a1 >= a2 and a1 + a2 = -e give
+    a2 <= -ceil(e/2) <= a1, so at j0 = ceil(e/2) - 1 only O(a1) has sections:
+    a1 = h0(E(j0)) - j0 - 1, and a2 = -e - a1.  The whole profile over the
+    jump window, which holds j0, is then checked against the split model.
     """
-    dims: Dict[int, int] = {}
-
-    def h0(twist: int) -> int:
-        # the profile check revisits the first loop's last twists
-        if twist not in dims:
-            dims[twist] = h0_twist(M, twist)[0]
-        return dims[twist]
-
     e = M.det_exponent
-    for j in range(e - _top_exponent(M), e // 2 + 1):
-        if h0(j):
-            break
-    else:
-        raise RuntimeError("h0 scan found no sections within the window")
-    a1 = -j
+    j0 = (e + 1) // 2 - 1
+    h0_j0 = h0_twist(M, j0)[0]
+    a1 = h0_j0 - j0 - 1
     a2 = -e - a1
-    if a1 < a2:
-        raise RuntimeError("h0 scan produced an unsorted splitting; determinant mismatch")
     for jj in range(-a1 - 1, -a2 + 2):
         expected = max(0, a1 + jj + 1) + max(0, a2 + jj + 1)
-        got = h0(jj)
+        got = h0_j0 if jj == j0 else h0_twist(M, jj)[0]
         if got != expected:
             raise RuntimeError(
                 f"h0 profile disagrees with split model at twist {jj}: {got} != {expected}"

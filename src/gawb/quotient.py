@@ -592,11 +592,11 @@ class RationalPoint:
     __slots__ = ("ring", "assignment")
 
     def __init__(self, ring: AlgebraPresentation, assignment: Mapping[str, Coeff]):
-        self.ring = ring
-        self.assignment = {v: Fraction(assignment[v]) for v in ring.variables}
         missing = set(ring.variables) - set(assignment)
         if missing:
             raise ValueError(f"missing coordinates {sorted(missing)}")
+        self.ring = ring
+        self.assignment = {v: Fraction(assignment[v]) for v in ring.variables}
         for r in ring.relations:
             if r.evaluate(self.assignment) != 0:
                 raise ValueError("point does not satisfy the relations")

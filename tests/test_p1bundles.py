@@ -174,8 +174,8 @@ def test_grid_agreement():
 
 
 def test_h0_scan_solves_each_twist_once(monkeypatch):
-    """The scan starts at the degree bound's first twist, 0 here, and the
-    profile check ends at -a2 + 1 = m + 1: m + 2 twists, each solved once."""
+    """The scan solves the jump window -a1 - 1 .. -a2 + 1, each twist once,
+    and no other twist: m - n + 3 twists for an extension matrix."""
     twists = []
     original = p1bundles.h0_twist
 
@@ -184,11 +184,28 @@ def test_h0_scan_solves_each_twist_once(monkeypatch):
         return original(M, j)
 
     monkeypatch.setattr(p1bundles, "h0_twist", counting)
-    for m in range(1, 6):
-        for n in range(1, m + 1):
-            twists.clear()
-            assert splitting_by_h0_scan(transition_matrix(m, n)) == SplittingType(-n, -m)
-            assert sorted(twists) == list(range(m + 2)), (m, n, twists)
+    cases = [(SplittingType(-n, -m), transition_matrix(m, n))
+             for m in range(1, 6) for n in range(1, m + 1)]
+    cases += [(SplittingType(-min(m, n), -max(m, n)), M) for m, n, M in _sheared_extensions()]
+    cases += [(SplittingType(*sorted((-e1, -e2), reverse=True)), M)
+              for e1, e2, M in _random_products(20240, 60, 3)]
+    for want, M in cases:
+        twists.clear()
+        assert splitting_by_h0_scan(M) == want
+        assert sorted(twists) == list(range(-want.a1 - 1, -want.a2 + 2)), (M.to_json(), twists)
+
+
+@pytest.mark.parametrize("data", [
+    5,
+    [[None, "1"], ["0", "1"]],
+    [[1.5, "1"], ["0", "1"]],
+    [[True, "u"], ["0", "1"]],
+    ["u", "1"],
+    [["u", "1"], ["0", "1"], ["0", "0"]],
+])
+def test_matrix_json_rejects_anything_but_2x2_strings(data):
+    with pytest.raises(ValueError, match="expected a 2x2 array of polynomial strings"):
+        TransitionMatrix2.from_json(data)
 
 
 def test_matrix_json_roundtrip():
@@ -285,7 +302,7 @@ def test_birkhoff_h0_agreement_on_dense_matrices():
 # -- reference h^0: the degree scan with stability columns -----------------------
 #
 # h0_twist solves once at the proven bound B = hi - e + j and the splitting
-# scan runs over e - hi .. e // 2.  The references below guess instead: a
+# scan reads a1 off the twist ceil(e/2) - 1.  The references below guess: a
 # degree b0 = spread + |j| + 2, raised until two stability columns show no
 # section of higher degree, and a first twist -(spread + |e| + 2).
 
@@ -388,6 +405,8 @@ def test_h0_matches_the_degree_scan_reference(monkeypatch):
         [["1", "2"], ["3", "6 + u"]],
         [["u", "1"], ["0", "1"]],
         [["u^3", "u^-1 + 2*u"], ["0", "u^-1"]],
+        [["u^2", "0"], ["0", "u^2"]],
+        [["u^-3", "0"], ["0", "1"]],
     ]
     cases += [(TransitionMatrix2.from_json(rows), range(-4, 5)) for rows in fixed]
     by_spread = [M for _, _, M in _sheared_extensions()]
@@ -399,7 +418,7 @@ def test_h0_matches_the_degree_scan_reference(monkeypatch):
     products = (M for _, _, M in _random_products(70001, 10 ** 6, 1, shears=1))
     cases += [(M, ()) for M in itertools.islice(
         (M for M in products if _reference_exponent_spread(M) <= 4), 200)]
-    assert len(cases) == 36 + 8 + (1 + 15 + 6) + 49 + 200
+    assert len(cases) == 36 + 10 + (1 + 15 + 6) + 49 + 200
     for M, twists in cases:
         sections = {j: _outcome(_reference_h0_twist, M, j) for j in twists}
         scan = _outcome(_reference_splitting_by_h0_scan, M, sections)

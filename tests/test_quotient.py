@@ -155,6 +155,12 @@ def test_rational_point_validation(x22):
         RationalPoint(x22, {"x": 1, "y": 1, "u": 1, "v": 1})
 
 
+def test_rational_point_missing_coordinates():
+    xy = AlgebraPresentation(["x", "y"], ["x*y - 1"])
+    with pytest.raises(ValueError, match=r"^missing coordinates \['y'\]$"):
+        RationalPoint(xy, {"x": 1})
+
+
 def test_presentation_text_roundtrip():
     text = "vars: x,y,u,v; invert: x; relations: x^2*v - y^2*u - 1"
     pres = AlgebraPresentation.from_text(text)

@@ -79,6 +79,9 @@ MORE_CASES = [
     ["--json", "lnd", "exp", "--presentation", "vars: x,y,z,u,v; relations: x^2*v - y*u - z^3",
      "--derivation", "der: u -> x^2; v -> y; x -> 0; y -> 0; z -> 0"],
     ["eval", "x ^ - 2"],
+    # lex orders u + x*t where degrevlex gives x*t + u
+    ["lnd", "exp", "--presentation", "vars: u,v,x,y; relations: x*v - y*u - 1; order: lex",
+     "--derivation", "der: u -> x; v -> y; x -> 0; y -> 0"],
 ]
 
 # One case per parse-error class, and one per engine bound.
@@ -111,6 +114,8 @@ ERROR_CASES = [
     ["splitting", "--matrix", "5"],         # matrix that is not an array
     ["h0", "--matrix", '[[null,"1"],["0","1"]]', "--j", "0"],   # entry that is not a string
     ["splitting", "--matrix", '[[true,"u"],["0","1"]]'],        # boolean entry
+    ["lnd", "exp", "--presentation", "vars: u,v,x,y; relations: x*v - y*u - 1; order: grevlex",
+     "--derivation", "der: u -> x; v -> y; x -> 0; y -> 0"],   # unknown term order kind
 ]
 
 CASES = (

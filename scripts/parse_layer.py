@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Layer timing for ``parse.parse_poly`` on the text shapes the CLI reads.
+"""Layer timing for ``parse.parse_poly`` on the text shapes the CLI reads,
+and for ``poly.render_poly`` on the polynomials it parses.
 
 A fixed seeded corpus holds ``--count`` texts of each shape:
 
@@ -11,7 +12,11 @@ A fixed seeded corpus holds ``--count`` texts of each shape:
 
 Each shape is parsed ``--repeats`` times and the minimum time is printed,
 with the ``Poly.__mul__`` and ``mono_mul`` calls that one pass over the
-shape makes.
+shape makes.  The parsed polynomials are then rendered under a degrevlex
+order over the shape's variables, built afresh for each text as the CLI's
+``eval`` does: once with the shared monomial tables emptied (the first
+pass, which builds each monomial's row) and ``--repeats`` times more, of
+which the minimum is printed (every row read from the tables).
 
     PYTHONPATH=src python3 scripts/parse_layer.py [--repeats N] [--count N] [--seed S]
 """
@@ -130,12 +135,23 @@ def main() -> int:
             for text in texts:
                 parse.parse_poly(text, variables)
 
-        rows.append((name, len(texts), best_of(args.repeats, parse_all), muls, monos))
-    total = ("total", *(sum(r[i] for r in rows) for i in range(1, 5)))
-    print(f"parse_poly, seed {args.seed}, {args.count} texts per shape; minimum of {args.repeats} runs")
-    print(f"{'shape':<12}{'texts':>7}{'min s':>9}{'us/text':>9}{'Poly.__mul__':>14}{'mono_mul':>10}")
-    for name, n, seconds, muls, monos in rows + [total]:
-        print(f"{name:<12}{n:>7}{seconds:>9.4f}{1e6 * seconds / n:>9.1f}{muls:>14}{monos:>10}")
+        polys = [parse.parse_poly(text, variables) for text in texts]
+
+        def render_all(polys=polys, variables=variables):
+            for p in polys:
+                poly.render_poly(p, poly.TermOrder("degrevlex", variables))
+
+        poly._TABLES.clear()
+        rows.append((name, len(texts), best_of(args.repeats, parse_all), muls, monos,
+                     best_of(1, render_all), best_of(args.repeats, render_all)))
+    total = ("total", *(sum(r[i] for r in rows) for i in range(1, 7)))
+    print(f"parse_poly and render_poly, seed {args.seed}, {args.count} texts per shape; "
+          f"minimum of {args.repeats} runs, and render's first pass")
+    print(f"{'shape':<12}{'texts':>7}{'min s':>9}{'us/text':>9}{'Poly.__mul__':>14}{'mono_mul':>10}"
+          f"{'render 1st us':>15}{'render us':>11}")
+    for name, n, seconds, muls, monos, first, rendered in rows + [total]:
+        print(f"{name:<12}{n:>7}{seconds:>9.4f}{1e6 * seconds / n:>9.1f}{muls:>14}{monos:>10}"
+              f"{1e6 * first / n:>15.1f}{1e6 * rendered / n:>11.1f}")
     return 0
 
 

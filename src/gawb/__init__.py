@@ -4,7 +4,7 @@ line, and divisor arithmetic on ruled surfaces."""
 
 __version__ = "0.1.0"
 
-from .poly import Poly, TermOrder, degrevlex, lex, render_poly
+from .poly import Poly, TermOrder, render_poly
 from .parse import PolyParseError, UndeclaredVariableError, parse_poly
 from .quotient import (
     AlgebraPresentation,
@@ -33,8 +33,6 @@ __all__ = [
     "__version__",
     "Poly",
     "TermOrder",
-    "degrevlex",
-    "lex",
     "render_poly",
     "PolyParseError",
     "UndeclaredVariableError",

@@ -239,9 +239,6 @@ class Case1Step:
     witness_numer: Poly  # witness = witness_numer / y
     witness_power: int   # least k with witness * x^k in the coordinate ring
 
-    def presentation(self) -> AlgebraPresentation:
-        return AlgebraPresentation(("x", "y", "u", self.fiber_var), [self.relation])
-
 
 # A dataclass: the certificate tests use ``dataclasses.fields`` and ``replace``.
 @dataclass(slots=True)
@@ -252,9 +249,6 @@ class Case2Step:
     old_fiber_var: str
     new_fiber_var: str   # substitution: old = y^b * new
     relation: Poly
-
-    def presentation(self) -> AlgebraPresentation:
-        return AlgebraPresentation(("x", "y", "u", self.new_fiber_var), [self.relation])
 
 
 # A dataclass: the certificate tests use ``dataclasses.fields`` and ``replace``.

@@ -27,10 +27,15 @@ given), so the few monomials a caller builds again and again, such as the
 cells x^i * y^j of a sweep, are sorted once and shared; monomials are
 tuples, so sharing one is safe.
 
-``render_poly`` makes one pass over the terms: it builds each monomial's
-exponent vector over the order's variables once (``TermOrder._vector_key``,
-the walk that ``TermOrder.key`` also uses), takes the sort key and the
-monomial's text from it, and sorts the rendered rows by key.
+Every ``TermOrder`` with the same kind and variables shares one monomial
+table for the life of the process, so whatever is built for a monomial
+serves every later order, presentation and render over those variables.
+``TermOrder.key`` fills a monomial's sort key; ``render_poly`` fills its
+row, the key with the monomial's text, the first time it renders it (both
+from one walk of the exponent vector, ``TermOrder._vector_key``), and then
+sorts the rows it reads.  Keys alone never build text: Groebner work keys
+many monomials that are never printed.  A table holds at most
+``MONOMIAL_TABLE_SIZE`` monomials and is emptied when full.
 """
 
 from __future__ import annotations
@@ -131,31 +136,61 @@ def mono_is_regular(m: Mono, variables: Optional[Iterable[str]] = None) -> bool:
     return all(e >= 0 for v, e in m if v in vs)
 
 
+# Monomials one shared table holds before it is emptied.  The largest table
+# of a verify-paper pass, degrevlex over (x, y, u, v), holds about 4,500.
+MONOMIAL_TABLE_SIZE = 8192
+
+# (kind, variables) -> (position of each variable, key of each monomial,
+# (key, text) row of each rendered monomial)
+_TABLES: dict = {}
+
+
 class TermOrder:
     """Total order on monomials: degrevlex or lex over a variable priority list.
 
     Earlier variables in the priority list are larger.  The key function is
     usable on Laurent monomials too (for canonical printing); well-foundedness
-    only holds on regular monomials.
+    only holds on regular monomials.  Orders of the same kind over the same
+    variables share one monomial table of keys and rendered rows.
     """
 
-    __slots__ = ("kind", "variables", "_pos", "_cache")
+    __slots__ = ("kind", "variables", "_pos", "_keys", "_rows")
 
     def __init__(self, kind: str, variables: Iterable[str]):
         if kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown term order kind: {kind!r}")
         self.kind = kind
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variables in term order")
-        self._pos = {v: i for i, v in enumerate(self.variables)}
-        self._cache: dict = {}
+        self.variables = variables = tuple(variables)
+        table = _TABLES.get((kind, variables))
+        if table is None:
+            if len(set(variables)) != len(variables):
+                raise ValueError("duplicate variables in term order")
+            table = _TABLES[kind, variables] = ({v: i for i, v in enumerate(variables)}, {}, {})
+        self._pos, self._keys, self._rows = table
 
     def key(self, m: Mono):
-        k = self._cache.get(m)
+        k = self._keys.get(m)
         if k is None:
-            k = self._cache[m] = self._vector_key(m)[1]
+            k = self._vector_key(m)[1]
+            self._add(m, k)
         return k
+
+    def _add(self, m: Mono, k) -> None:
+        """Put m's key in the shared table, emptying the table first when it
+        is full."""
+        keys = self._keys
+        if m not in keys and len(keys) >= MONOMIAL_TABLE_SIZE:
+            keys.clear()
+            self._rows.clear()
+        keys[m] = k
+
+    def _row(self, m: Mono) -> tuple:
+        """m's ``(key, text)`` row, built and put in the shared table."""
+        exps, k = self._vector_key(m)
+        self._add(m, k)
+        text = "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, exps) if e])
+        row = self._rows[m] = (k, text)
+        return row
 
     def _vector_key(self, m: Mono) -> tuple:
         """m's exponents over ``variables``, in their order, and its key."""
@@ -171,8 +206,9 @@ class TermOrder:
 
     def heap_key(self, m: Mono):
         """``key(m)`` negated entrywise: ``heapq``'s min-heap then pops the
-        largest monomial first.  Built on every call; only ``key`` caches."""
-        k = self._cache.get(m) or self.key(m)
+        largest monomial first.  Built on every call from the shared table's
+        key; the table holds no heap keys."""
+        k = self._keys.get(m) or self.key(m)
         if self.kind == "lex":
             return tuple(map(neg, k))
         return (-k[0], tuple(map(neg, k[1])))
@@ -192,14 +228,6 @@ class TermOrder:
 
     def __repr__(self):
         return f"TermOrder({self.kind!r}, {self.variables!r})"
-
-
-def degrevlex(*variables: str) -> TermOrder:
-    return TermOrder("degrevlex", variables)
-
-
-def lex(*variables: str) -> TermOrder:
-    return TermOrder("lex", variables)
 
 
 class Poly:
@@ -626,21 +654,18 @@ def invert_coeff(c: Coeff) -> Coeff:
 def render_poly(p: Poly, order: Optional[TermOrder] = None) -> str:
     """Canonical text form: terms sorted descending by the term order.
 
-    Each monomial's exponent vector over the order's variables is built once;
-    its sort key (``TermOrder.key``'s) and its text both come from it."""
+    Each monomial's ``(key, text)`` row comes from the order's shared table,
+    and is built there the first time any order of that kind over those
+    variables renders the monomial."""
     if not p.terms:
         return "0"
     if order is None:
         order = TermOrder("degrevlex", sorted(p.variables()))
-    variables, vector_key = order.variables, order._vector_key
-    rows = []
-    for m, c in p.terms.items():
-        exps, key = vector_key(m)
-        text = "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e])
-        rows.append((key, text, c))
+    get, new_row = order._rows.get, order._row
+    rows = [(get(m) or new_row(m), c) for m, c in p.terms.items()]
     rows.sort(reverse=True)  # distinct monomials have distinct keys
     parts = []
-    for _, body, c in rows:
+    for (_, body), c in rows:
         neg = c < 0
         ac = -c if neg else c
         if not body:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from gawb import poly
 from gawb.poly import (
     LaurentSubstitutionError,
     Poly,
@@ -135,18 +136,14 @@ def test_render_canonical():
     assert render_poly(Poly.zero()) == "0"
 
 
-# The renderer as it stood before each monomial's exponent vector was built
-# once: terms sorted by ``TermOrder.key`` and each monomial's factors sorted
-# by their position in the priority list.
+# The renderer as it stood before the shared monomial tables: every call
+# walks each monomial's exponent vector over the order's variables for its
+# sort key and its text, and keeps nothing.
 
-def _reference_render_mono(m, priority=None):
-    if not m:
-        return "1"
-    factors = list(m)
-    if priority is not None:
-        pos = {v: i for i, v in enumerate(priority)}
-        factors.sort(key=lambda ve: pos.get(ve[0], len(pos)))
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in factors)
+def _reference_key(order, exps):
+    if order.kind == "lex":
+        return tuple(exps)
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def _reference_render_poly(p, order=None):
@@ -154,17 +151,25 @@ def _reference_render_poly(p, order=None):
         return "0"
     if order is None:
         order = TermOrder("degrevlex", sorted(p.variables()))
+    pos = {v: i for i, v in enumerate(order.variables)}
+    rows = []
+    for m, c in p.terms.items():
+        exps = [0] * len(pos)
+        for v, e in m:
+            if v not in pos:
+                raise ValueError(f"variable {v!r} not covered by term order")
+            exps[pos[v]] = e
+        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(order.variables, exps) if e)
+        rows.append((_reference_key(order, exps), text, c))
+    rows.sort(reverse=True)
     parts = []
-    for m in order.sorted_monos(p.terms.keys()):
-        c = p.terms[m]
+    for _, body, c in rows:
         neg = c < 0
         ac = -c if neg else c
-        if m == ():
+        if not body:
             body = str(ac)
-        elif ac == 1:
-            body = _reference_render_mono(m, order.variables)
-        else:
-            body = f"{ac}*{_reference_render_mono(m, order.variables)}"
+        elif ac != 1:
+            body = f"{ac}*{body}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:
@@ -207,6 +212,40 @@ def test_render_matches_reference():
     assert seen == {"error", "zero", "text", "int", "Fraction", "constant"}
     with pytest.raises(ValueError, match="^variable 'y' not covered by term order$"):
         render_poly(parse_poly("x + y"), TermOrder("lex", ("x",)))
+
+
+def test_shared_tables_render_like_the_reference():
+    """Seeded Laurent polynomials over (x, y, z) render as the per-call
+    reference does under lex and degrevlex orders built afresh for each call,
+    interleaved, and without an order.  Orders of one kind over the same
+    variables share one table, the two kinds never share rows, a key alone
+    builds no text, and rendering more distinct monomials than
+    MONOMIAL_TABLE_SIZE empties each table instead of growing it past the
+    bound."""
+    rng = random.Random(2611)
+    variables = ("x", "y", "z")
+    bound = poly.MONOMIAL_TABLE_SIZE
+    shared = {kind: TermOrder(kind, variables) for kind in ("lex", "degrevlex")}
+    assert TermOrder("lex", list(variables))._rows is shared["lex"]._rows
+    assert shared["lex"]._rows is not shared["degrevlex"]._rows
+    grid = [(i, j, k) for i in range(-12, 13) for j in range(-12, 13) for k in range(-12, 13)]
+    rng.shuffle(grid)
+    emptied = set()
+    for start in range(0, bound + 1000, 40):
+        p = Poly({mono_from_map({"x": i, "y": j, "z": k}): rng.choice((1, -1, 3, Fraction(-2, 5)))
+                  for i, j, k in grid[start:start + 40]})
+        for order in (TermOrder("lex", variables), TermOrder("degrevlex", variables), None):
+            table = shared[order.kind if order else "degrevlex"]
+            before = len(table._rows)
+            assert render_poly(p, order) == _reference_render_poly(p, order)
+            assert len(table._rows) <= len(table._keys) <= bound
+            if len(table._rows) < before:
+                emptied.add(table.kind)
+        m = mono_from_map({"x": rng.randint(13, 20), "y": -1})
+        for order in (TermOrder("lex", variables), TermOrder("degrevlex", variables)):
+            assert order.key(m) == _reference_key(order, [mono_exp(m, v) for v in variables])
+            assert m not in order._rows
+    assert emptied == {"lex", "degrevlex"}
 
 
 @settings(max_examples=150, deadline=None)

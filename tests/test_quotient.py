@@ -180,6 +180,32 @@ def test_presentation_text_rejects_repeated_section():
         AlgebraPresentation.from_text("vars: x,y,u,v; relations: x^2*v - y^2*u - 1; relations: x")
 
 
+def test_presentation_text_order_section():
+    """``order: lex`` gives the lex basis and lex rendering; the default is
+    degrevlex over the declared variables.  An order that leaves out a
+    declared variable is refused."""
+    text = "vars: x,y; relations: x^2 - y, y^2 - x"
+    lex = AlgebraPresentation.from_text(text + "; order: lex")
+    drl = AlgebraPresentation.from_text(text)
+    assert lex.order == TermOrder("lex", ("x", "y")) and drl.order == TermOrder("degrevlex", ("x", "y"))
+    assert lex.basis.polys == (pp("y^4 - y"), pp("x - y^2"))
+    assert drl.basis.polys == (pp("y^2 - x"), pp("x^2 - y"))
+    assert lex.element("x + y").render() == "y^2 + y" and drl.element("x + y").render() == "x + y"
+    assert lex.to_text() == "vars: x,y; relations: x^2 - y, -x + y^2"
+    assert drl.to_text() == "vars: x,y; relations: x^2 - y, y^2 - x"
+    with pytest.raises(PresentationError, match="^term order must cover exactly the declared variables$"):
+        AlgebraPresentation(["x", "y"], ["x - y"], order=TermOrder("lex", ("x",)))
+    with pytest.raises(ValueError, match="^unknown term order kind: 'grevlex'$"):
+        AlgebraPresentation.from_text(text + "; order: grevlex")
+
+
+def test_term_order_hash_and_repr():
+    a, b = TermOrder("lex", ("x", "y")), TermOrder("lex", ["x", "y"])
+    assert a == b and hash(a) == hash(b) and len({a, b, TermOrder("degrevlex", ("x", "y"))}) == 2
+    assert a != TermOrder("lex", ("y", "x"))
+    assert repr(a) == "TermOrder('lex', ('x', 'y'))" and eval(repr(a)) == a
+
+
 def test_presentation_validation():
     with pytest.raises(PresentationError):
         AlgebraPresentation(["x", "x"])

@@ -4,10 +4,14 @@
 Enumerates every nonzero p with deg_x p < m, deg_y p < n, p(0,0) = 0 and
 integer coefficients in a small box, runs the Case 1 / Case 2 recursion, and
 verifies each certificate (step bound, terminal q0, witness power).  Each
-block reports its wall time and the microseconds per certificate spent in
-``NormalFormMNP(m, n, p)`` and ``affineness_certificate`` together: the
-constructor's validating walk reads the cells of p that the certificate
-uses, so the two are timed as one.
+block reports how many certificate templates it built next to its number of
+certificates (a template is built once per (m, n) and monomials of p, and
+every later p with the same monomials reuses it), its wall time, and the
+microseconds per certificate spent in ``NormalFormMNP(m, n, p)`` and
+``affineness_certificate`` together: the constructor looks up or builds the
+template that the certificate fills in, so the two are timed as one.
+
+    PYTHONPATH=src python3 scripts/affineness_sweep.py [--max-m M] [--max-n N] [--lo L] [--hi H] [--limit K]
 """
 
 import argparse
@@ -38,7 +42,8 @@ def main() -> int:
     for (m, n), block in sorted(summary.blocks.items()):
         rate = block.count / block.seconds if block.seconds else float("inf")
         per_cert = 1e6 * block.cert_seconds / block.count if block.count else 0.0
-        print(f"  ({m},{n}): {block.count:7d} certificates, max {block.max_steps} steps, "
+        print(f"  ({m},{n}): {block.count:7d} certificates from {block.templates:5d} templates, "
+              f"max {block.max_steps} steps, "
               f"{block.case2_count:7d} with a Case-2 reduction, "
               f"{block.seconds:7.2f}s ({rate:8.0f}/s, {per_cert:6.1f} us/certificate)")
     print(f"total: {summary.total} certificates verified in {summary.seconds:.2f}s")

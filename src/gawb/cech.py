@@ -8,25 +8,31 @@ p(x, y) * x^-m y^-n with deg_x p < m, deg_y p < n, and each of these
 determines a hypersurface total space together with an affineness
 certificate computed by the Case 1 / Case 2 transform recursion.
 
-One walk over the terms of p serves both the normal form and its
-certificate.  ``NormalFormMNP`` validates p by reading each term's cell
-(x-exponent, y-exponent) through a small bounded table
-(``functools.lru_cache``) and keeps the cells it read, with deg_y p;
-``affineness_certificate`` picks the Case 2 power b and the Case 1
-multiplicity a from those cells instead of walking p again, and builds every
-shifted monomial through more such tables, keyed by exponents or by a
-monomial and a shift, so a sweep over one (m, n) box reads and builds each
-of its monomials once.  The witness check reads the relation alone and does
-not share the walk's cells.
+A certificate's shape depends only on m, n and the monomials of p in their
+term order, never on p's coefficients: the Case 2 power b, the Case 1
+multiplicity a, the fiber variable, every monomial of the stripped p, of q0,
+of the relation and of the witness, and every condition of the witness check
+but the coefficient identity.  ``NormalFormMNP`` looks that shape, a
+template, up in a table keyed by ``(m, n, tuple(p.terms))``; on a miss it
+validates p in one walk over its terms, which builds the template and stores
+it for a valid p only.  ``affineness_certificate`` fills in p's
+coefficients.  The first certificate of a template builds the template's
+monomials, so a normal form that is never certified does not pay for them,
+and runs the full witness check, which reads the relation alone and shares
+none of the template's monomials; every later one compares each witness
+coefficient with the relation's coefficient at the monomial that check
+stored.  The table holds at most ``TEMPLATE_TABLE_SIZE`` templates and is
+emptied when full, so a sweep over a few (m, n) boxes builds each support's
+shape once.
 
 The normal form, the certificate and its steps are the module's only
 dataclasses, slotted ones: the tests read a certificate's fields through
 ``dataclasses.fields``, and each record holds a ``Poly``, which is immutable
 by convention and cannot be hashed, so none of them has a hash.  A
 ``NormalFormMNP`` whose field is reassigned validates the new value before
-its cells are read again.  ``CocycleClass`` is a ``NamedTuple`` and
-``ActionCocycleReport`` a plain slotted class, so importing the module
-generates no code for them.
+its cells or its template are read again.  ``CocycleClass`` is a
+``NamedTuple`` and ``ActionCocycleReport`` a plain slotted class, so
+importing the module generates no code for them.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from . import catalog
 from .derivations import Derivation
 from .parse import parse_poly
 from .poly import (
-    ONE_MONO, Coeff, Mono, Poly, invert_coeff, mono, mono_degree, mono_exp, mono_factors,
+    ONE_MONO, Coeff, Mono, Poly, invert_coeff, mono, mono_exp, mono_factors,
     mono_from_map, mono_mul, render_poly,
 )
 from .quotient import (
@@ -120,22 +126,22 @@ def is_coboundary(g: Poly, x: str = "x", y: str = "y") -> Tuple[bool, Optional[T
 
 
 class _ValidatedWalk:
-    """The slot in which ``NormalFormMNP`` keeps its validating walk over p.
-    A slot of a base class, so it is not a dataclass field."""
+    """The slot in which ``NormalFormMNP`` keeps (m, n, p) as validated and
+    their template.  A slot of a base class, so it is not a dataclass field."""
 
     __slots__ = ("_walk",)
 
 
 # A dataclass, as tuned for the sweep: ``_walked`` reruns ``__post_init__``
-# to validate a reassigned field.
+# to validate a reassigned field and look up its template.
 @dataclass(slots=True)
 class NormalFormMNP(_ValidatedWalk):
     """Cocycle normal form p(x,y) x^-m y^-n with deg_x p < m, deg_y p < n.
 
-    The constructor validates p in one walk over its terms and keeps what it
-    read: the cell (i, j, c) of each term c * x^i * y^j, in p's term order,
-    and deg_y p.  ``cells`` and ``deg_y`` return them, and walk again only
-    when a field was reassigned since.
+    The constructor takes the template of (m, n, p's monomials) from the
+    template table, or validates p in one walk over its terms and builds it.
+    ``deg_y`` reads the template and ``cells`` reads p's terms; both validate
+    again first when a field was reassigned since.
     """
 
     m: int
@@ -144,25 +150,11 @@ class NormalFormMNP(_ValidatedWalk):
 
     def __post_init__(self):
         m, n, p = self.m, self.n, self.p
-        if m < 1 or n < 1:
-            raise ValueError("m, n must be >= 1")
-        if not p.terms:
-            raise ValueError("p must be nonzero")
-        cells = []
-        deg_x = deg_y = 0
-        for mo, c in p.terms.items():
-            cell = _cell_of(mo)
-            if cell is None:
-                _reject_non_cell(p)
-            i, j = cell
-            cells.append((i, j, c))
-            if i > deg_x:
-                deg_x = i
-            if j > deg_y:
-                deg_y = j
-        if deg_x >= m or deg_y >= n:
-            raise ValueError("normal form requires deg_x p < m and deg_y p < n")
-        self._walk = (m, n, p, tuple(cells), deg_y)
+        key = (m, n, tuple(p.terms))
+        t = _TEMPLATES.get(key)
+        if t is None:
+            t = _build_template(m, n, p, key)
+        self._walk = (m, n, p, t)
 
     def _walked(self) -> tuple:
         w = self._walk
@@ -173,32 +165,16 @@ class NormalFormMNP(_ValidatedWalk):
 
     def cells(self) -> Tuple[Tuple[int, int, Coeff], ...]:
         """(i, j, c) for each term c * x^i * y^j of p, in p's term order."""
-        return self._walked()[3]
+        p = self._walked()[2]
+        return tuple((mono_exp(mo, "x"), mono_exp(mo, "y"), c) for mo, c in p.terms.items())
 
     @property
     def deg_y(self) -> int:
         """deg_y p, as the validating walk read it."""
-        return self._walked()[4]
+        return self._walked()[3].deg_y
 
     def cocycle(self) -> Poly:
         return self.p.mul_monomial(mono(x=-self.m, y=-self.n))
-
-
-@lru_cache(maxsize=1024)
-def _cell_of(mo: Mono) -> Optional[Tuple[int, int]]:
-    """(i, j) for the cell x^i * y^j; None for a monomial with a negative
-    exponent or a variable other than x or y."""
-    i = j = 0
-    for v, e in mono_factors(mo):
-        if e < 0:
-            return None
-        if v == "x":
-            i = e
-        elif v == "y":
-            j = e
-        else:
-            return None
-    return i, j
 
 
 def _reject_non_cell(p: Poly):
@@ -270,17 +246,15 @@ class CertificateError(RuntimeError):
     pass
 
 
-# Monomial tables of the certificate: every monomial it builds is a cell
-# x^i * y^j of p shifted by a power of y or x, a fiber lead x^k * fiber, or a
-# witness monomial times x^a, and the witness check reads the total degree of
-# each monomial of the relation.  A sweep block meets the same few of them
-# for every p, so each is built or read once, through the ``poly``
-# accessors and constructors.  (``_cell_of``, above, reads p's cells.)
-
-
-@lru_cache(maxsize=1024)
-def _cell(i: int, j: int) -> Mono:
-    return mono(x=i, y=j)
+# The template table: (m, n, tuple(p.terms)) -> _Template, for valid normal
+# forms only.  A sweep round of 15,000 certificates builds about 1,600
+# templates, the exhaustive m, n <= 3 sweep 332 (one per support); the table
+# is emptied when it reaches TEMPLATE_TABLE_SIZE.  ``templates_built`` counts
+# the templates built since import.  The witness check builds its own
+# monomials (the lead x^m * fiber and each witness monomial times x^a) through
+# two small bounded tables: a workload whose supports seldom repeat, such as
+# single queries, runs the full check for nearly every certificate.
+TEMPLATE_TABLE_SIZE = 4096
 
 
 @lru_cache(maxsize=1024)
@@ -293,7 +267,90 @@ def _x_shift(mo: Mono, a: int) -> Mono:
     return mono_mul(mo, mono(x=a))
 
 
-_degree = lru_cache(maxsize=1024)(mono_degree)
+_TEMPLATES: dict = {}
+templates_built = 0
+
+
+class _Template:
+    """The shape of a normal form and of its certificate.
+
+    The validating walk sets ``deg_y`` (deg_y p), ``b`` (the least j over
+    p's terms x^i * y^j: the Case 2 power), ``q0_at`` (the position in p of
+    each term with j = b, the terms of p0) and ``a`` (the least i among
+    them: the Case 1 multiplicity).  The base case, a = b = 0, needs nothing
+    more.  The first certificate built from the template sets the rest
+    (``_shape``), so a normal form that is never certified does not pay for
+    it: ``fiber`` and ``new_n``, the fiber variable and n after Case 2;
+    ``stripped``, the monomials of p / y^b in p's term order (None when
+    b = 0); ``q0``, the monomial of q0 that each term of p0 gives; ``lead``,
+    the witness lead x^(m-a) * fiber; and ``shifted``, None until a
+    certificate passes the full witness check, and then the witness
+    monomials times x^a.
+    """
+
+    __slots__ = ("deg_y", "a", "b", "q0_at", "fiber", "new_n", "stripped", "q0", "lead", "shifted")
+
+
+def _build_template(m: int, n: int, p: Poly, key: tuple) -> _Template:
+    """Validate p in one walk over its terms and store its template under
+    key; raise, storing nothing, for an invalid normal form.
+
+    The template keeps no term's exponents: a sweep round's 1,600 templates
+    would hold 0.6 MB of them."""
+    global templates_built
+    if m < 1 or n < 1:
+        raise ValueError("m, n must be >= 1")
+    if not p.terms:
+        raise ValueError("p must be nonzero")
+    at = []  # the positions of the terms with the least j so far
+    deg_x = deg_y = 0
+    a, b = m, n  # above every exponent that passes the degree bounds
+    for k, mo in enumerate(p.terms):
+        i = j = 0
+        for v, e in mono_factors(mo):
+            if e < 0:
+                _reject_non_cell(p)
+            if v == "x":
+                i = e
+            elif v == "y":
+                j = e
+            else:
+                _reject_non_cell(p)
+        if i > deg_x:
+            deg_x = i
+        if j > deg_y:
+            deg_y = j
+        if j < b:
+            a, b, at = i, j, [k]
+        elif j == b:
+            at.append(k)
+            if i < a:
+                a = i
+    if deg_x >= m or deg_y >= n:
+        raise ValueError("normal form requires deg_x p < m and deg_y p < n")
+    t = _Template()
+    t.deg_y, t.a, t.b, t.q0_at, t.q0 = deg_y, a, b, tuple(at), None
+    if len(_TEMPLATES) >= TEMPLATE_TABLE_SIZE:
+        _TEMPLATES.clear()
+    _TEMPLATES[key] = t
+    templates_built += 1
+    return t
+
+
+def _shape(t: _Template, m: int, n: int, p: Poly) -> None:
+    """Set the certificate's part of t (see ``_Template``), for a p with t's
+    monomials."""
+    a, b = t.a, t.b
+    t.fiber = fiber = "w" if b else "v"
+    t.new_n = n - b
+    t.stripped = None
+    if b:
+        y_shift = mono(y=-b)
+        t.stripped = tuple([mono_mul(mo, y_shift) for mo in p.terms])
+    monos = tuple(p.terms)
+    t.q0 = tuple([mono(x=mono_exp(monos[k], "x") - a) for k in t.q0_at])
+    t.lead = _fiber_lead(m - a, fiber)
+    t.shifted = None
 
 
 def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
@@ -308,51 +365,44 @@ def affineness_certificate(nf: NormalFormMNP) -> AffinenessCertificate:
     its witness power a, the least k such that witness * x^k lies in the
     coordinate ring (certified by ``_check_case1_witness``).
 
-    The cells (i, j, c) of p's terms come from the walk that validated nf
-    (``NormalFormMNP.cells``); p is not walked again.  b is the least j, the
-    terms with j = b form p0 (the y-free part after the Case 2 strip), and a
-    is the least i among them.  The stripped p, q0 and the witness are
-    assembled from the cells in p's term order through the monomial tables
-    above, and the relation x^m * fiber - y^(n-b) * u - p / y^b is built
-    once and shared by both steps.
+    b is the least j over p's terms x^i * y^j, the terms with j = b form p0
+    (the y-free part after the Case 2 strip), and a is the least i among
+    them.  These, and every monomial below, come from nf's template; the
+    stripped p, q0 and the witness take p's coefficients in p's term order,
+    and the relation x^m * fiber - y^(n-b) * u - p / y^b is built once and
+    shared by both steps.  The first certificate of a template runs the full
+    witness check; every later one checks each witness coefficient against
+    the relation's coefficient at the monomial that check stored.
     """
-    m, n, p = nf.m, nf.n, nf.p
-    cells = nf.cells()
-    a, b = m, n  # above every exponent: deg_x p < m and deg_y p < n
-    for i, j, c in cells:
-        if j < b:
-            a, b = i, j
-        elif j == b and i < a:
-            a = i
+    m, n, p, t = nf._walked()
+    a, b = t.a, t.b
     if not (a or b):
         return AffinenessCertificate(m, n, p, (), "HypersurfaceInA4")
 
-    fiber, cur_n, cur_p = "v", n, p
+    if t.q0 is None:
+        _shape(t, m, n, p)
+    coeffs = tuple(p.terms.values())
+    fiber, cur_n, cur_p = t.fiber, t.new_n, p
     if b:
         # Case 2: strip y^b (b < n because deg_y p < n)
-        fiber, cur_n = "w", n - b
-        cur_p = Poly._raw({_cell(i, j - b): c for i, j, c in cells})
+        cur_p = Poly._raw(dict(zip(t.stripped, coeffs)))
     # Case 1: p0 = x^a q0, q0(0) != 0
-    q0 = Poly._raw({_cell(i - a, 0): c for i, j, c in cells if j == b})
+    q0 = Poly._raw({mo: coeffs[k] for k, mo in zip(t.q0_at, t.q0)})
     if ONE_MONO not in q0.terms:
         raise CertificateError("internal error: q0(0) = 0 after multiplicity split")
     relation = catalog.xmnp_relation(m, cur_n, cur_p, fiber)
-    witness = Poly._raw({_fiber_lead(m - a, fiber): 1, **{mo: -c for mo, c in q0.terms.items()}})
-    _check_case1_witness(witness, a, m, relation, fiber)
-    case1 = Case1Step(
-        a=a, q0=q0, fiber_var=fiber, relation=relation,
-        witness_numer=witness, witness_power=a,
-    )
-    trace = (case1,)
+    witness = Poly._raw({t.lead: 1, **{mo: -c for mo, c in q0.terms.items()}})
+    if t.shifted is None:
+        t.shifted = _check_case1_witness(witness, a, m, relation, fiber)
+    elif list(map(relation.terms.get, t.shifted)) != list(witness.terms.values()):
+        raise CertificateError("Case 1 transform identity failed")
+    # positional arguments: a keyword argument costs a slotted dataclass's
+    # __init__ about 0.1 us, and a sweep builds two or three records per p
+    case1 = Case1Step(a, q0, fiber, relation, witness, a)  # witness_power = a
     if b:
-        trace = (
-            Case2Step(
-                b=b, new_n=cur_n, new_p=cur_p,
-                old_fiber_var="v", new_fiber_var=fiber, relation=relation,
-            ),
-            case1,
-        )
-    return AffinenessCertificate(m, n, p, trace, "UnitCertificate", q0=q0)
+        case2 = Case2Step(b, cur_n, cur_p, "v", fiber, relation)
+        return AffinenessCertificate(m, n, p, (case2, case1), "UnitCertificate", q0)
+    return AffinenessCertificate(m, n, p, (case1,), "UnitCertificate", q0)
 
 
 def describe_trace(cert: AffinenessCertificate) -> str:
@@ -366,8 +416,9 @@ def describe_trace(cert: AffinenessCertificate) -> str:
     return " -> ".join(parts) if parts else "(empty)"
 
 
-def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: str) -> None:
-    """Certify that a is the least k with witness * x^k in (y, relation).
+def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: str) -> Tuple[Mono, ...]:
+    """Certify that a is the least k with witness * x^k in (y, relation),
+    and return the monomials of witness * x^a in witness's term order.
 
     Let f be the y-free part of the relation.  Then (y, f) generates the same
     ideal, and it is a Groebner basis for degrevlex on (x, y, u, fiber):
@@ -381,17 +432,33 @@ def _check_case1_witness(witness: Poly, a: int, m: int, relation: Poly, fiber: s
       is divisible by y or by lm(f), so it is its own nonzero normal form;
       the same holds for every smaller power of x, so no k < a works.
 
-    f is read off the relation, not off the cells of p the certificate
-    walked, so the check does not share the walk's arithmetic.
+    One pass over the relation reads f and the total degree of each of its
+    terms; the lead x^m * fiber has degree m + 1, so the minimality condition
+    holds exactly when it is the only term of f of degree above m.  Each
+    monomial is read, shifted and measured here, not taken from the
+    certificate's template, so the check does not share the template's
+    arithmetic.  Every condition but the coefficients' agreement reads
+    monomials only: a later witness with the same monomials, against a
+    relation with the same monomials, passes exactly when its coefficients
+    equal the relation's at the returned monomials.
     """
-    f = relation.select("y", 0, 0).terms
-    if len(f) != len(witness.terms) or any(
-        f.get(_x_shift(mo, a)) != c for mo, c in witness.terms.items()
-    ):
+    f, above = {}, []  # the y-free terms, and those of total degree above m
+    for mo, c in relation.terms.items():
+        degree = 0
+        for v, e in mono_factors(mo):
+            if v == "y":
+                break
+            degree += e
+        else:
+            f[mo] = c
+            if degree > m:
+                above.append(mo)
+    shifted = tuple([_x_shift(mo, a) for mo in witness.terms])
+    if len(f) != len(witness.terms) or list(map(f.get, shifted)) != list(witness.terms.values()):
         raise CertificateError("Case 1 transform identity failed")
-    lead = _fiber_lead(m, fiber)
-    if lead not in f or any(_degree(mo) > m for mo in f if mo != lead):
+    if above != [_fiber_lead(m, fiber)]:
         raise CertificateError("Case 1 relation does not lead with x^m * fiber")
+    return shifted
 
 
 # -- cocycle attached to a locally trivial action ------------------------------

@@ -139,17 +139,17 @@ class NilpotencyCertificate(NamedTuple):
 
 
 def _tower(d: Derivation, v: str, bound: int) -> Iterator[RingElement]:
-    """v, d(v), d^2(v), ... up to the last nonzero term; raises after
-    bound + 1 applications of d that leave it nonzero.  Lazy, so that a
-    long tower is never held in memory at once."""
+    """v, d(v), d^2(v), ... up to the last nonzero term; raises right after
+    yielding a nonzero d^bound(v), so d is applied at most bound times.
+    Lazy, so that a long tower is never held in memory at once."""
     e = d.ring.var(v)
     applied = 0
     while not e.is_zero():
         yield e
+        if applied >= bound:
+            raise NotNilpotentWithinBound(v, bound)
         e = d.apply(e)
         applied += 1
-        if applied > bound:
-            raise NotNilpotentWithinBound(v, bound)
 
 
 def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertificate:

@@ -128,9 +128,25 @@ class AlgebraPresentation:
         )
 
     def __repr__(self):
-        return f"AlgebraPresentation({self.to_text()!r})"
+        if self.order.variables == self.variables:
+            return f"AlgebraPresentation({self.to_text()!r})"
+        return f"AlgebraPresentation({self._sections()!r}, order={self.order!r})"
 
     def to_text(self) -> str:
+        """The text ``from_text`` reads back to an equal presentation.  The
+        ``order:`` section names the order's kind when it is not the default
+        degrevlex; an order whose priority list is not ``vars`` has no text
+        form, and raises ``ValueError``."""
+        if self.order.variables != self.variables:
+            raise ValueError(
+                f"{self.order!r} ranks the variables in another order than vars "
+                f"{self.variables!r}; presentation text cannot express it"
+            )
+        if self.order.kind == "degrevlex":
+            return self._sections()
+        return f"{self._sections()}; order: {self.order.kind}"
+
+    def _sections(self) -> str:
         parts = [f"vars: {','.join(self.variables)}"]
         if self.inverted:
             parts.append(f"invert: {','.join(render_poly(f, self.order) for f in self.inverted)}")

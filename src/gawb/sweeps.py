@@ -6,6 +6,7 @@ import itertools
 import time
 from typing import Dict, Iterator, Optional, Tuple
 
+from . import cech
 from .cech import Case2Step, NormalFormMNP, affineness_certificate
 from .poly import ONE_MONO, Poly, mono
 
@@ -27,12 +28,16 @@ def count_sweep_polys(m: int, n: int, lo: int = -2, hi: int = 2) -> int:
 
 
 class SweepBlock:
-    __slots__ = ("m", "n", "count", "max_steps", "case2_count", "seconds", "cert_seconds")
+    __slots__ = ("m", "n", "count", "templates", "max_steps", "case2_count", "seconds", "cert_seconds")
 
     def __init__(self, m: int, n: int):
         self.m = m
         self.n = n
         self.count = 0
+        # certificate templates the block built (``cech.templates_built``):
+        # the other certificates reused one of an earlier p with the same
+        # (m, n) and monomials
+        self.templates = 0
         self.max_steps = 0
         self.case2_count = 0
         self.seconds = 0.0
@@ -64,6 +69,7 @@ def affineness_sweep_block(
     within deg_y(p) + 1 steps, q0(0) != 0, certified witness power.
     """
     block = SweepBlock(m, n)
+    built = cech.templates_built
     clock = time.perf_counter
     t0 = clock()
     polys = iter_sweep_polys(m, n, lo, hi)
@@ -85,6 +91,7 @@ def affineness_sweep_block(
         block.max_steps = max(block.max_steps, steps)
         block.case2_count += sum(1 for s in cert.trace if isinstance(s, Case2Step))
     block.seconds = clock() - t0
+    block.templates = cech.templates_built - built
     return block
 
 

@@ -178,36 +178,42 @@ def _outcome(fn):
     return None
 
 
+def _is_cell(mo) -> bool:
+    return all(e >= 0 and v in ("x", "y") for v, e in mono_factors(mo))
+
+
 def test_normal_form_validation_matches_reference():
-    """The table-driven constructor raises the reference walk's exception
+    """The template-driven constructor raises the reference walk's exception
     (class and message), or none, and keeps p's cells in term order.  Each
-    p is validated twice, so the second pass reads the cached cells."""
+    p is validated twice: a valid p's second pass reads the template the
+    first one stored, and an invalid p stores none."""
     seen = set()
-    hits = cech._cell_of.cache_info().hits
     for m, n, p in _validation_samples():
         want = _outcome(lambda: _reference_validate(m, n, p))
         seen.add(want[1].split(" [")[0] if want else "valid")
         for _ in range(2):
             assert _outcome(lambda: NormalFormMNP(m, n, p)) == want, (m, n, p)
+        key = (m, n, tuple(p.terms))
         if want is None:
             nf = NormalFormMNP(m, n, p)
             assert nf.cells() == tuple(
                 (mono_exp(mo, "x"), mono_exp(mo, "y"), c) for mo, c in p.terms.items()
             )
             assert nf.deg_y == p.degree_in("y")
+            assert nf._walk[3] is cech._TEMPLATES[key]
             seen.update(type(c).__name__ for c in p.terms.values())
         else:
+            assert key not in cech._TEMPLATES
             variables = {v for mo in p.terms for v, _ in mono_factors(mo)}
             negative = any(e < 0 for mo in p.terms for _, e in mono_factors(mo))
             if negative and variables - {"x", "y"}:
-                # the fault the table meets first is either kind
-                first = next(mo for mo in p.terms if cech._cell_of(mo) is None)
+                # the fault the walk meets first is either kind
+                first = next(mo for mo in p.terms if not _is_cell(mo))
                 seen.add("negative first" if min(e for _, e in mono_factors(first)) < 0 else "foreign first")
             if want[1] == _DEGREE and any(
                 mono_exp(mo, "x") == m or mono_exp(mo, "y") == n for mo in p.terms
             ):
                 seen.add("at the edge")
-    assert cech._cell_of.cache_info().hits > hits
     assert {
         "valid", "int", "Fraction", _BAD_BOUNDS, _ZERO, _IRREGULAR, "p mentions", _DEGREE,
         "negative first", "foreign first", "at the edge",
@@ -410,6 +416,64 @@ def _reference_check_case1_witness(witness, a, m, relation, fiber):
         raise CertificateError("Case 1 relation does not lead with x^m * fiber")
 
 
+def _witness_check_samples():
+    """Seeded (witness, a, m, relation, fiber): every certificate of the
+    sample set, and each of them corrupted once: a witness coefficient
+    changed, a witness term added (with or without y) or dropped, a shifted
+    power a, or the relation and the witness changed alike (a y-free term of
+    degree above m added, the lead dropped or moved to another fiber
+    variable), so that the lead condition decides."""
+    rng = random.Random(31)
+    for m, n, p in _certificate_samples():
+        cert = affineness_certificate(NormalFormMNP(m, n, p))
+        if not cert.trace:
+            continue
+        step = cert.trace[-1]
+        w, rel, fiber, a = step.witness_numer, step.relation, step.fiber_var, step.a
+        yield w, a, m, rel, fiber
+        wt, rt = dict(w.terms), dict(rel.terms)
+        kind = rng.randrange(8)
+        mo = rng.choice(list(wt))
+        if kind == 0:
+            wt[mo] += rng.choice((-1, 1, Fraction(1, 2)))
+        elif kind == 1:
+            wt[mono_from_map({"x": rng.randint(0, m), "y": rng.randint(0, 1)})] = 1
+        elif kind == 2 and len(wt) > 1:
+            del wt[mo]
+        elif kind == 3:
+            a += rng.choice((-1, 1)) if a else 1
+        else:
+            # the relation and the witness changed alike, so that the
+            # identity holds and the lead condition decides
+            lead, wlead = mono_from_map({"x": m, fiber: 1}), mono_from_map({"x": m - a, fiber: 1})
+            if kind == 4:  # a y-free term of degree above m, a power of x
+                k, c = rng.randint(1, 2), rng.choice((-1, 2))
+                rt[mono_from_map({"x": m + k})], wt[mono_from_map({"x": m + k - a})] = c, c
+            elif kind == 5:  # ... or of degree m + 1 without the fiber
+                rt[mono_from_map({"x": m - 1, "u": 2})], wt[mono_from_map({"x": m - 1 - a, "u": 2})] = 1, 1
+            elif kind == 6:  # no lead
+                del rt[lead], wt[wlead]
+            else:  # the lead in another fiber variable
+                rt[mono_from_map({"x": m, "z": 1})] = rt.pop(lead)
+                wt[mono_from_map({"x": m - a, "z": 1})] = wt.pop(wlead)
+        yield Poly._raw(wt), a, m, Poly._raw(rt), fiber
+
+
+def test_witness_check_matches_reference():
+    """The witness check reads f and each term's degree in one pass over the
+    relation; it raises the reference's error, or none, on sound and
+    corrupted certificates alike, and returns witness * x^a's monomials."""
+    seen = set()
+    for w, a, m, rel, fiber in _witness_check_samples():
+        want = _outcome(lambda: _reference_check_case1_witness(w, a, m, rel, fiber))
+        got = _outcome(lambda: _check_case1_witness(w, a, m, rel, fiber))
+        assert got == want, (w, a, m, rel, fiber)
+        seen.add(want[1] if want else "passes")
+        if want is None:
+            assert _check_case1_witness(w, a, m, rel, fiber) == tuple(mono_mul(mo, mono(x=a)) for mo in w.terms)
+    assert seen == {"passes", "Case 1 transform identity failed", "Case 1 relation does not lead with x^m * fiber"}
+
+
 def _as_data(obj):
     """Every field of a certificate and of its steps; a polynomial becomes
     its term list in insertion order, with each coefficient's type."""
@@ -572,3 +636,125 @@ def test_action_cocycle_unit_ideal_needs_nonvanishing_p():
     pres, d = bundle_from_cocycle(NormalFormMNP(2, 2, pp("x")))
     with pytest.raises(ActionCocycleError):
         action_cocycle(pres, d, ["u", "v"], chart_vars=("x", "y"))
+
+
+def _repeated_support_samples():
+    """Seeded (m, n, p) for four (m, n), interleaved: each support comes
+    with int and Fraction coefficients, some supports under two (m, n) and
+    in two term orders, and some with a constant term (the base case)."""
+    rng = random.Random(30)
+    boxes = [(2, 3), (3, 3), (3, 2), (4, 4)]
+    supports = []
+    for m, n in boxes:
+        cells = [(i, j) for i in range(m) for j in range(n)]
+        for _ in range(6):
+            support = rng.sample(cells, rng.randint(1, min(5, len(cells))))
+            supports.append((m, n, support))
+    supports.append((4, 4, [(1, 0), (2, 1)]))  # also valid in the (3, 3) box
+    supports.append((3, 3, [(1, 0), (2, 1)]))
+    samples = []
+    for m, n, support in supports:
+        for k in range(4):
+            order = support if k % 2 == 0 else support[::-1]
+            coeffs = [rng.choice((-2, -1, 1, 3)) if k < 2 else Fraction(rng.choice((-3, 1, 5)), rng.choice((2, 3)))
+                      for _ in order]
+            samples.append((m, n, Poly._raw({mono(x=i, y=j): c for (i, j), c in zip(order, coeffs)})))
+    rng.shuffle(samples)
+    return samples
+
+
+def _fresh_templates(monkeypatch, size=None):
+    monkeypatch.setattr(cech, "_TEMPLATES", {})
+    if size is not None:
+        monkeypatch.setattr(cech, "TEMPLATE_TABLE_SIZE", size)
+
+
+def test_templated_certificates_match_reference(monkeypatch):
+    """Certificates filled in from a reused template equal the reference's,
+    field by field, over interleaved (m, n) and supports met again and again;
+    each (m, n, monomials in term order) builds one template."""
+    _fresh_templates(monkeypatch)
+    samples = _repeated_support_samples()
+    built = cech.templates_built
+    seen = set()
+    for m, n, p in samples:
+        nf = NormalFormMNP(m, n, p)
+        cert = affineness_certificate(nf)
+        assert _as_data(cert) == _as_data(_reference_affineness_certificate(nf)), (m, n, p)
+        seen.add(cert.outcome)
+        seen.update(type(s).__name__ for s in cert.trace)
+        seen.update(type(c).__name__ for c in p.terms.values())
+    keys = {(m, n, tuple(p.terms)) for m, n, p in samples}
+    assert cech.templates_built - built == len(keys) == len(cech._TEMPLATES) < len(samples)
+    assert {"HypersurfaceInA4", "UnitCertificate", "Case1Step", "Case2Step", "int", "Fraction"} <= seen
+
+
+def test_template_table_is_emptied_when_full(monkeypatch):
+    """A table of three templates is emptied on every fourth new key; the
+    certificates stay the reference's and the table never holds more."""
+    _fresh_templates(monkeypatch, size=3)
+    samples = _repeated_support_samples()
+    built = cech.templates_built
+    for m, n, p in samples:
+        nf = NormalFormMNP(m, n, p)
+        assert len(cech._TEMPLATES) <= 3
+        assert _as_data(affineness_certificate(nf)) == _as_data(_reference_affineness_certificate(nf))
+    assert cech.templates_built - built > len({(m, n, tuple(p.terms)) for m, n, p in samples})
+
+
+def test_one_full_witness_check_per_template(monkeypatch):
+    """Only the first certificate of a template runs the full witness check;
+    a base-case template (p(0, 0) != 0) runs none."""
+    _fresh_templates(monkeypatch)
+    calls = [0]
+    real = cech._check_case1_witness
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cech, "_check_case1_witness", counting)
+    samples = _repeated_support_samples()
+    for m, n, p in samples:
+        affineness_certificate(NormalFormMNP(m, n, p))
+    shapes = {(m, n, tuple(p.terms)) for m, n, p in samples if ONE_MONO not in p.terms}
+    assert calls[0] == len(shapes) == sum(1 for t in cech._TEMPLATES.values() if t.a or t.b)
+
+
+def test_reused_template_rejects_a_corrupted_coefficient(monkeypatch):
+    """A relation whose coefficient disagrees with the witness is refused on
+    a checked template too; a full check that raises leaves its template
+    unchecked, so the next certificate runs the full check again."""
+    _fresh_templates(monkeypatch)
+    real = catalog.xmnp_relation
+
+    def corrupted(m, n, p, fiber="v"):
+        relation = real(m, n, p, fiber)
+        terms = dict(relation.terms)
+        terms[mono(x=2)] += 1  # the y-free term -c x^2 of the relation
+        return Poly._raw(terms)
+
+    p, q = pp("x^2 + 3*x^2*y"), pp("-2*x^2 + x^2*y")  # one support, two coefficient sets
+    key = (3, 2, tuple(p.terms))
+    affineness_certificate(NormalFormMNP(3, 2, p))
+    assert cech._TEMPLATES[key].shifted is not None
+    monkeypatch.setattr(catalog, "xmnp_relation", corrupted)
+    with pytest.raises(CertificateError, match="identity"):
+        affineness_certificate(NormalFormMNP(3, 2, q))
+
+    _fresh_templates(monkeypatch)
+    with pytest.raises(CertificateError, match="identity"):
+        affineness_certificate(NormalFormMNP(3, 2, p))
+    assert cech._TEMPLATES[key].shifted is None
+    monkeypatch.setattr(catalog, "xmnp_relation", real)
+    calls = [0]
+    check = cech._check_case1_witness
+
+    def counting(*args):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(cech, "_check_case1_witness", counting)
+    cert = affineness_certificate(NormalFormMNP(3, 2, q))
+    assert calls[0] == 1 and cert.q0 == Poly.const(-2)
+    assert cech._TEMPLATES[key].shifted is not None

@@ -125,6 +125,28 @@ def test_smoothness_verdicts(x22):
     assert smoothness_check(double).verdict == SmoothnessVerdict.INCONCLUSIVE
 
 
+def test_smoothness_check_without_relations():
+    """A polynomial ring is smooth everywhere; no Jacobian is formed."""
+    rep = smoothness_check(AlgebraPresentation(["x", "y"]), puncture=("x",))
+    assert rep.verdict == SmoothnessVerdict.SMOOTH_EVERYWHERE
+    assert rep.detail == "no relations" and rep.puncture_powers == {}
+
+
+def test_sample_point_needs_a_linear_variable():
+    """No variable occurs linearly, or the only one has a coefficient that is
+    not a monomial: nothing can be solved for."""
+    for relation in ("x^2 - y^3", "(x + 1)*y - x^2"):
+        pres = AlgebraPresentation(["x", "y"], [relation])
+        with pytest.raises(SamplingError, match="^no variable occurs linearly with a monomial coefficient$"):
+            sample_point(pres, seed=0)
+
+
+def test_sample_point_rejection_budget(x22):
+    with pytest.raises(SamplingError, match="^rejection budget of 0 exceeded$"):
+        sample_point(x22, seed=1, rejection_budget=0)
+    assert sample_point(x22, seed=1, rejection_budget=1).assignment == sample_point(x22, seed=1).assignment
+
+
 def test_sample_point_solves_relation(x22):
     pt = sample_point(x22, seed=1)
     assert x22.element("x^2*v - y^2*u").evaluate(pt) == 1
@@ -169,6 +191,24 @@ def test_presentation_text_roundtrip():
     assert AlgebraPresentation.from_text(pres.to_text()).to_text() == pres.to_text()
 
 
+def test_presentation_text_keeps_the_order():
+    """``to_text`` writes the ``order:`` section for a non-default kind, so
+    ``from_text`` gives back an equal presentation, extensions included.  A
+    priority list other than ``vars`` has no text form: ``to_text`` raises,
+    and ``repr`` names the order beside the text instead."""
+    lex = AlgebraPresentation.from_text("vars: x,y,u; invert: y; relations: x^2 - y*u; order: lex")
+    for pres in (lex, lex.extend(("t",), ["t + x"]), catalog.xmn_presentation(2, 2)):
+        assert AlgebraPresentation.from_text(pres.to_text()) == pres
+        assert repr(pres) == f"AlgebraPresentation({pres.to_text()!r})"
+    assert lex.extend(("t",)).to_text().endswith("; order: lex")
+    permuted = AlgebraPresentation(["x", "y"], ["x - y^2"], order=TermOrder("lex", ("y", "x")))
+    with pytest.raises(ValueError, match=r"^TermOrder\('lex', \('y', 'x'\)\) ranks the variables in another order"):
+        permuted.to_text()
+    assert repr(permuted) == (
+        "AlgebraPresentation('vars: x,y; relations: -y^2 + x', order=TermOrder('lex', ('y', 'x')))"
+    )
+
+
 def test_presentation_text_rejects_unknown_section():
     # "relation" is not a section: reading past it would drop the relation
     with pytest.raises(PresentationError, match="unknown presentation section 'relation'"):
@@ -191,7 +231,7 @@ def test_presentation_text_order_section():
     assert lex.basis.polys == (pp("y^4 - y"), pp("x - y^2"))
     assert drl.basis.polys == (pp("y^2 - x"), pp("x^2 - y"))
     assert lex.element("x + y").render() == "y^2 + y" and drl.element("x + y").render() == "x + y"
-    assert lex.to_text() == "vars: x,y; relations: x^2 - y, -x + y^2"
+    assert lex.to_text() == "vars: x,y; relations: x^2 - y, -x + y^2; order: lex"
     assert drl.to_text() == "vars: x,y; relations: x^2 - y, y^2 - x"
     with pytest.raises(PresentationError, match="^term order must cover exactly the declared variables$"):
         AlgebraPresentation(["x", "y"], ["x - y"], order=TermOrder("lex", ("x",)))

@@ -46,13 +46,20 @@ def test_script_runs(script, args):
     assert out
     if script == "division_layer.py":
         # one reduction per derivation step: the bound-4 tower of x applies
-        # the derivation 5 times (23 normal forms when each product and
-        # partial sum was reduced).  The first step, d(x) itself, returns
-        # x's stored image; each of the other 4 has a multi-term p and makes
-        # one Poly.derive call in the packed kernel, so none calls __mul__
+        # the derivation 4 times and stops once d^4(x) is nonzero.  The
+        # first step, d(x) itself, returns x's stored image; each of the
+        # other 3 has a multi-term p and makes one Poly.derive call in the
+        # packed kernel, so none calls __mul__
         calls = {row.split()[0]: row.split()[1] for row in out.splitlines()[2:]}
-        assert calls["groebner.normal_form"] == calls["Poly.derive"] == "4"
+        assert calls["groebner.normal_form"] == calls["Poly.derive"] == "3"
         assert calls["Poly.__mul__"] == "0"
+    if script == "affineness_sweep.py":
+        # each block builds one certificate template per support of p: the
+        # (2,2) box has 7 supports (x, y, x*y and their unions) for its 124 p
+        blocks = {row.split(":")[0].strip(): row for row in out.splitlines() if row.startswith("  (")}
+        assert set(blocks) == {"(1,2)", "(2,1)", "(2,2)"}
+        assert "     124 certificates from     7 templates" in blocks["(2,2)"]
+        assert "       4 certificates from     1 templates" in blocks["(1,2)"]
 
 
 def test_bench_selftest_passes():
